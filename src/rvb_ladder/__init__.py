@@ -12,8 +12,8 @@ emit one CSV per published figure.
 from .density import (EdgeAggregates, WernerFit, edge_werner_parameters,
                       partial_trace, regional_entanglement,
                       teleportation_fidelities, werner_parameter)
-from .lattice import (Edge, LadderLattice, build_ladder, count_coverings,
-                      describe, enumerate_coverings)
+from .lattice import (Edge, LadderLattice, automorphisms, build_ladder,
+                      count_coverings, describe, enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
                        monogamy_surface_sample, tangle,
@@ -26,7 +26,7 @@ from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
 
 __all__ = [
     "Edge", "LadderLattice", "build_ladder", "enumerate_coverings",
-    "count_coverings", "describe",
+    "count_coverings", "automorphisms", "describe",
     "singlet_pair", "covering_state", "rvb_state", "total_spin_squared",
     "dump_state",
     "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import INV_SQRT2
+from .state import INV_SQRT2, bipartition_matrix
 
 WERNER_TOL = 1e-8
+MAX_KEPT_SITES = 12  # memory guard: a 2^12 x 2^12 float64 matrix is 128 MiB
 
 
 def partial_trace(state, keep):
@@ -32,14 +33,10 @@ def partial_trace(state, keep):
         raise ValueError(f"duplicate sites in keep: {keep}")
     if any(not 0 <= s < n for s in keep):
         raise ValueError(f"keep sites {keep} out of range for n={n}")
-    if len(keep) > 12:
-        raise ValueError("refusing to build a reduced matrix above 12 sites")
+    if len(keep) > MAX_KEPT_SITES:
+        raise ValueError(f"refusing to build a reduced matrix above {MAX_KEPT_SITES} sites")
 
-    rest = [s for s in range(n) if s not in keep]
-    tensor = psi.reshape([2] * n)
-    # axis of site k in the reshaped tensor is n-1-k; most significant first
-    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
-    mat = tensor.transpose(perm).reshape(1 << len(keep), -1)
+    mat = bipartition_matrix(psi, n, keep)
     return mat @ mat.conj().T
 
 

@@ -212,6 +212,52 @@ def count_coverings(lattice):
     return total
 
 
+def automorphisms(lattice):
+    """All site permutations preserving the multiset of dimer-allowed edges.
+
+    Each is a tuple `perm` with `perm[site]` the image of `site`; the
+    identity comes first and the order is deterministic. Such a permutation
+    maps dimer coverings to dimer coverings, so it maps the liquid state to
+    plus or minus itself. Backtracking over sites in order, checking each new
+    image against the multiplicity of every pair already placed.
+    """
+    n = lattice.n
+    mult = [[0] * n for _ in range(n)]
+    for e in lattice.edges:
+        if e.dimer_allowed:
+            mult[e.a][e.b] += 1
+            mult[e.b][e.a] += 1
+    degree = [sum(row) for row in mult]
+    # an earlier neighbour of each site, whose image's neighbours are then
+    # the only candidates for the site's own image
+    anchor = [next((t for t in range(s) if mult[s][t]), None) for s in range(n)]
+
+    out = []
+    image = []
+    used = [False] * n
+
+    def extend():
+        s = len(image)
+        if s == n:
+            out.append(tuple(image))
+            return
+        a = anchor[s]
+        candidates = range(n) if a is None else [g for g in range(n) if mult[image[a]][g]]
+        for g in candidates:
+            if used[g] or degree[g] != degree[s]:
+                continue
+            if any(mult[s][t] != mult[g][image[t]] for t in range(s)):
+                continue
+            used[g] = True
+            image.append(g)
+            extend()
+            image.pop()
+            used[g] = False
+
+    extend()
+    return tuple(out)
+
+
 def describe(lattice):
     """Plain-text dump: one line per site, then one per edge."""
     lines = []

@@ -11,6 +11,8 @@ and theta_max = max(S1 intersect S2) when the intersection is nonempty.
 
 The generalized geometric measure of a pure n-site state is
 1 - max lambda^2 over all bipartitions, lambda the top Schmidt coefficient.
+Site permutations that map the state to +-itself leave lambda unchanged, so
+one bipartition per symmetry orbit suffices.
 """
 
 import math
@@ -19,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
+from .state import bipartition_matrix
 
 _P_EPS = 1e-12
+MAX_SITES = 16  # largest state the GGM scan and the sweep accept
 
 
 def tangle(p):
@@ -162,38 +166,73 @@ class GgmRecord:
 
 def _schmidt_sq_max(psi, n, mask):
     keep = [k for k in range(n) if (mask >> k) & 1]
-    rest = [k for k in range(n) if not (mask >> k) & 1]
-    if len(keep) > len(rest):  # Gram matrix on the smaller side
-        keep, rest = rest, keep
-    tensor = psi.reshape([2] * n)
-    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
-    mat = tensor.transpose(perm).reshape(1 << len(keep), -1)
+    if 2 * len(keep) > n:  # Gram matrix on the smaller side
+        keep = [k for k in range(n) if not (mask >> k) & 1]
+    mat = bipartition_matrix(psi, n, keep)
     gram = mat @ mat.conj().T
     return numerics.hermitian_eigenvalues(gram)[0], mat
 
 
-def ggm(state, tie_tol=1e-12):
+def _permute_bits(values, perm):
+    """Move bit k of every entry of `values` to bit perm[k], 8 bits per table."""
+    byte = np.arange(256, dtype=values.dtype)
+    out = np.zeros_like(values)
+    for low in range(0, len(perm), 8):
+        table = np.zeros_like(byte)
+        for k, g in enumerate(perm[low:low + 8]):
+            table |= ((byte >> k) & 1) << g
+        out |= table[(values >> low) & 0xFF]
+    return out
+
+
+def _check_symmetry(psi, n, perm):
+    """Raise ValueError unless relabelling sites by `perm` maps psi to +-psi."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of the {n} sites")
+    moved = psi[_permute_bits(np.arange(psi.size), perm)]
+    err = min(np.max(np.abs(moved - psi)), np.max(np.abs(moved + psi)))
+    if err > 1e-12:
+        raise ValueError(f"site permutation {perm} is not a symmetry of the state: "
+                         f"max |psi(gx) -+ psi(x)| = {err:.3e}")
+
+
+def ggm(state, tie_tol=1e-12, *, symmetries=()):
     """Generalized geometric measure over all 2^(n-1) - 1 bipartitions.
 
     Site 0 is fixed on the reported side, halving the scan. The recorded
     bipartition is the smallest-bitmask maximizer; exact symmetry can tie
     several splits, so every tied mask is kept alongside.
+
+    `symmetries` are site permutations (perm[site] = image) that map the
+    state to plus or minus itself, such as `lattice.automorphisms`. Such a
+    relabelling carries each bipartition to one with the same Schmidt
+    spectrum, so the Schmidt coefficient is computed once per orbit, at its
+    smallest mask (an image without site 0 is replaced by its complement),
+    and shared by the orbit. Every permutation is checked against the state
+    first, to 1e-12, and one that fails raises ValueError. The record does
+    not depend on `symmetries`: `bipartitions_scanned` counts every
+    bipartition covered and `tied_masks` lists every tied mask, so the
+    default (no symmetry, one orbit per mask) is the full scan.
     """
     psi = np.asarray(state)
     n = int(math.log2(psi.size))
-    if n > 14:
-        raise ValueError("bipartition scan limited to 14 sites")
+    if n > MAX_SITES:
+        raise ValueError(f"bipartition scan limited to {MAX_SITES} sites")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state is not normalized")
 
-    results = []
     full = (1 << n) - 1
-    for mask in range(1, full, 2):  # bit 0 always set, complement never empty
-        lam2, _ = _schmidt_sq_max(psi, n, mask)
-        results.append((mask, float(lam2)))
-    best = max(v for _, v in results)
-    tied = tuple(mask for mask, v in results if best - v <= tie_tol)
-    winner = tied[0]
+    masks = np.arange(1, full, 2)  # bit 0 always set, complement never empty
+    reps = masks.copy()
+    for perm in symmetries:
+        _check_symmetry(psi, n, perm)
+        image = _permute_bits(masks, perm)
+        np.minimum(reps, np.where(image & 1, image, full ^ image), out=reps)
+    orbits, orbit_of = np.unique(reps, return_inverse=True)
+    lam2 = np.array([_schmidt_sq_max(psi, n, int(rep))[0] for rep in orbits])
+    best = float(lam2.max())
+    tied = tuple(masks[best - lam2[orbit_of] <= tie_tol].tolist())
+    winner = tied[0]  # the smallest mask of its orbit, so one computed above
 
     # cross-check the winner with the iterative kernel
     _, mat = _schmidt_sq_max(psi, n, winner)
@@ -204,5 +243,5 @@ def ggm(state, tie_tol=1e-12):
     sites = tuple(k for k in range(n) if (winner >> k) & 1)
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best,
                      maximizing_bipartition=sites,
-                     bipartitions_scanned=len(results),
+                     bipartitions_scanned=len(masks),
                      mask=winner, tied_masks=tied)

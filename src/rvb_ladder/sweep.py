@@ -85,7 +85,7 @@ def _run_size(m, config):
     F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s, theta_tol=config.theta_tol)
-    gg = measures.ggm(psi)
+    gg = measures.ggm(psi, symmetries=lattice.automorphisms(lat))
     steps_inside, _ = _column_mask_info(gg.mask, m)
     aligned_mask = None
     for tied in gg.tied_masks:
@@ -107,8 +107,9 @@ def run_sweep(config):
     if not config.sizes:
         raise ValueError("no sizes configured")
     for m in config.sizes:
-        if m < 2 or 2 * m > 16:
-            raise ValueError(f"size m={m} outside the supported range (2 <= m, N <= 16)")
+        if m < 2 or 2 * m > measures.MAX_SITES:
+            raise ValueError(f"size m={m} outside the supported range "
+                             f"(2 <= m, N <= {measures.MAX_SITES})")
     if config.boundary not in lattice.BOUNDARIES:
         raise ValueError(f"bad boundary {config.boundary!r}")
     if config.odd_wrap not in lattice.ODD_WRAPS:
@@ -118,7 +119,7 @@ def run_sweep(config):
     for m in sorted(config.sizes):
         try:
             report.rows.append(_run_size(m, config))
-        except Exception as exc:  # isolate: one bad size must not sink the rest
+        except (ValueError, RuntimeError) as exc:  # one bad size must not sink the rest
             report.failures.append((m, str(exc)))
     fit_figures(report)
     if config.out_dir is not None:

@@ -1,8 +1,11 @@
 """Lattice construction, covering enumeration, and the independent count."""
 
+import collections
+
 import pytest
 
-from rvb_ladder import build_ladder, count_coverings, describe, enumerate_coverings
+from rvb_ladder import (automorphisms, build_ladder, count_coverings, describe,
+                        enumerate_coverings)
 
 import oracles
 
@@ -171,3 +174,34 @@ def test_degree_and_incident_edges():
     lat_open = build_ladder(4, "open")
     assert lat_open.degree(0) == 2
     assert lat_open.degree(1) == 3
+
+
+def _allowed_edge_multiset(lat, perm=None):
+    perm = perm or tuple(lat.sites)
+    return collections.Counter(frozenset((perm[e.a], perm[e.b]))
+                               for e in lat.edges if e.dimer_allowed)
+
+
+def test_automorphisms_preserve_allowed_edges():
+    for m in range(2, 9):
+        for b, w in (("open", "forbid"), ("periodic", "forbid"), ("periodic", "twist")):
+            lat = build_ladder(m, b, w)
+            group = automorphisms(lat)
+            assert group[0] == tuple(lat.sites), (m, b, w)
+            assert len(set(group)) == len(group)
+            edges = _allowed_edge_multiset(lat)
+            for perm in group:
+                assert sorted(perm) == list(lat.sites)
+                assert _allowed_edge_multiset(lat, perm) == edges, (m, b, w, perm)
+
+
+def test_automorphism_group_orders():
+    assert len(automorphisms(build_ladder(2, "open"))) == 8  # the 4-cycle
+    assert len(automorphisms(build_ladder(3, "periodic", "twist"))) == 72  # K_3,3
+    assert len(automorphisms(build_ladder(4, "periodic"))) == 48  # the cube
+    for m in range(5, 9):
+        # prism (even m) or Moebius ladder (odd m): rotations, reflections, leg swap
+        assert len(automorphisms(build_ladder(m, "periodic", "twist"))) == 4 * m
+    for m in range(3, 9):
+        # leg swap and left-right reflection
+        assert len(automorphisms(build_ladder(m, "open"))) == 4

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rvb_ladder import (build_ladder, cloning_theta_sets, ggm, monogamy_check,
-                        monogamy_surface_sample, partial_trace, rvb_state,
-                        singlet_pair, tangle, tangle_from_density_matrix)
+from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets, ggm,
+                        measures, monogamy_check, monogamy_surface_sample,
+                        partial_trace, rvb_state, singlet_pair, tangle,
+                        tangle_from_density_matrix)
 
 import oracles
 
@@ -289,3 +290,53 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
             return all(((mask >> c) & 1) == ((mask >> (c + m)) & 1)
                        for c in range(m))
         assert any(is_column_aligned(t) for t in rec.tied_masks), (m, b, w)
+
+
+# the orbit route computes each Schmidt value at one mask of the orbit, the
+# full scan at every mask; the two differ only by eigensolver roundoff
+SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
+
+SYMMETRY_CONFIGS = ([(m, b, w) for m in range(2, 7)
+                     for b in ("open", "periodic") for w in ("forbid", "twist")]
+                    + [(7, "periodic", "twist")])
+
+
+def test_ggm_symmetry_route_matches_full_scan(ladder_state):
+    for key in SYMMETRY_CONFIGS:
+        lat, psi = ladder_state(*key)
+        full = ggm(psi)
+        reduced = ggm(psi, symmetries=automorphisms(lat))
+        assert abs(reduced.value - full.value) <= SYMMETRY_VALUE_TOL, key
+        assert reduced.mask == full.mask, key
+        assert reduced.tied_masks == full.tied_masks, key
+        assert reduced.bipartitions_scanned == full.bipartitions_scanned, key
+        assert reduced.maximizing_bipartition == full.maximizing_bipartition, key
+
+
+def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):
+    # orbits of the odd masks (site 0 on the kept side) under the ladder group
+    orbit_counts = {3: 5, 4: 13, 5: 43, 6: 134, 7: 361}
+    real = measures._schmidt_sq_max
+    seen = set()
+
+    def counting(psi, n, mask):
+        seen.add(mask)
+        return real(psi, n, mask)
+
+    monkeypatch.setattr(measures, "_schmidt_sq_max", counting)
+    for m, count in orbit_counts.items():
+        lat, psi = ladder_state(m, "periodic", "twist")
+        seen.clear()
+        rec = ggm(psi, symmetries=automorphisms(lat))
+        assert len(seen) == count, m
+        assert all(mask & 1 for mask in seen), m
+        assert rec.mask in seen, m
+
+
+def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):
+    _, psi = ladder_state(3, "open", "forbid")
+    swap_01 = (1, 0, 2, 3, 4, 5)  # exchanges an A site with a B site of one rail
+    with pytest.raises(ValueError, match="not a symmetry"):
+        ggm(psi, symmetries=[swap_01])
+    with pytest.raises(ValueError, match="not a permutation"):
+        ggm(psi, symmetries=[(0, 0, 2, 3, 4, 5)])

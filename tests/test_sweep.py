@@ -169,6 +169,29 @@ def test_per_size_failure_isolation(monkeypatch):
     assert "injected failure" in report.failures[0][1]
 
 
+def test_programming_errors_propagate(monkeypatch):
+    real_ggm = measures.ggm
+
+    def broken_ggm(state, **kwargs):
+        if np.asarray(state).size == 1 << 8:
+            raise TypeError("injected bug")
+        return real_ggm(state, **kwargs)
+
+    monkeypatch.setattr(measures, "ggm", broken_ggm)
+    with pytest.raises(TypeError, match="injected bug"):
+        run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=None))
+
+
+def test_sixteen_site_ladder_runs():
+    report = run_sweep(RunConfig(sizes=(8,), out_dir=None))
+    assert report.failures == []
+    (row,) = report.rows
+    assert row.n == 16
+    assert row.ggm.value == pytest.approx(0.201463220623, abs=1e-11)
+    assert row.ggm.mask == 0x303
+    assert row.ggm.bipartitions_scanned == (1 << 15) - 1
+
+
 def test_singlet_invariant_aborts_size(monkeypatch):
     monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
