@@ -7,12 +7,11 @@ p = (4F - 1)/3, and a residual records how far rho is from the exact
 Werner form at that p.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import INV_SQRT2, bipartition_matrix
+from .state import INV_SQRT2, bipartition_matrix, site_count
 
 WERNER_TOL = 1e-8
 MAX_KEPT_SITES = 12  # memory guard: a 2^12 x 2^12 float64 matrix is 128 MiB
@@ -25,7 +24,7 @@ def partial_trace(state, keep):
     least significant bit, matching the global basis convention.
     """
     psi = np.asarray(state)
-    n = int(math.log2(psi.size))
+    n = site_count(psi)
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be nonempty")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .state import bipartition_matrix
+from .state import bipartition_matrix, site_count
 
 _P_EPS = 1e-12
 MAX_SITES = 16  # largest state the GGM scan and the sweep accept
@@ -215,7 +215,7 @@ def ggm(state, tie_tol=1e-12, *, symmetries=()):
     default (no symmetry, one orbit per mask) is the full scan.
     """
     psi = np.asarray(state)
-    n = int(math.log2(psi.size))
+    n = site_count(psi)
     if n > MAX_SITES:
         raise ValueError(f"bipartition scan limited to {MAX_SITES} sites")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:

@@ -32,11 +32,20 @@ def singlet_pair(i, j, n=2):
     return psi
 
 
-def covering_state(covering, n):
-    """Product of directed singlets over one dimer covering.
+def site_count(psi):
+    """Number of sites n of a 2^n-amplitude vector, n >= 1; else ValueError."""
+    size = np.asarray(psi).size
+    n = size.bit_length() - 1
+    if n < 1 or size != 1 << n:
+        raise ValueError(f"state length {size} is not 2^n with n >= 1")
+    return n
 
-    `covering` is an iterable of (a, b) pairs, a the A-site of each dimer.
-    The result has 2^(n/2) nonzero amplitudes, each +-(1/sqrt(2))^(n/2).
+
+def _covering_terms(covering, n):
+    """(indices, amplitudes) of the 2^(n/2) nonzero entries of one covering.
+
+    Orientation bit t of the entry picks the minus branch (down on the
+    A-site) of the t-th dimer; entries come in orientation order.
     """
     pairs = list(covering)
     seen = set()
@@ -46,58 +55,62 @@ def covering_state(covering, n):
         raise ValueError("covering is not a perfect matching of all sites")
 
     k = len(pairs)
-    scale = INV_SQRT2 ** k
+    a_bit = np.array([1 << a for a, _ in pairs], dtype=np.int64)
+    b_bit = np.array([1 << b for _, b in pairs], dtype=np.int64)
+    flip = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    indices = np.where(flip, a_bit, b_bit).sum(axis=1)
+    signs = 1 - 2 * (flip.sum(axis=1) & 1)
+    return indices, signs * INV_SQRT2 ** k
+
+
+def covering_state(covering, n):
+    """Product of directed singlets over one dimer covering.
+
+    `covering` is an iterable of (a, b) pairs, a the A-site of each dimer.
+    The result has 2^(n/2) nonzero amplitudes, each +-(1/sqrt(2))^(n/2).
+    """
+    indices, amps = _covering_terms(covering, n)
     psi = np.zeros(1 << n)
-    for orient in range(1 << k):
-        idx = 0
-        sign = 1
-        for t, (a, b) in enumerate(pairs):
-            if (orient >> t) & 1:  # down on the A-site: the minus branch
-                idx |= 1 << a
-                sign = -sign
-            else:
-                idx |= 1 << b
-        psi[idx] += sign * scale
+    psi[indices] = amps
     return psi
 
 
 def rvb_state(lattice):
-    """Normalized equal superposition of all dimer-covering states."""
+    """Normalized equal superposition of all dimer-covering states.
+
+    One bincount adds the coverings' entries in covering order, so each
+    amplitude is the same sum as adding the covering states one by one.
+    """
     coverings = enumerate_coverings(lattice)
     if not coverings:
         raise ValueError(f"lattice m={lattice.m} {lattice.boundary} has no dimer covering")
-    psi = np.zeros(1 << lattice.n)
-    for cov in coverings:
-        psi += covering_state(cov, lattice.n)
+    indices, amps = zip(*(_covering_terms(cov, lattice.n) for cov in coverings))
+    psi = np.bincount(np.concatenate(indices), weights=np.concatenate(amps),
+                      minlength=1 << lattice.n)
     psi /= np.linalg.norm(psi)
     return psi
 
 
 def total_spin_squared(state):
-    """<psi| S_tot^2 |psi> with S_tot = sum_k sigma_k / 2, applied sparsely."""
+    """<psi| S_tot^2 |psi> from S^2 = S_- S_+ + S_z^2 + S_z.
+
+    So <S^2> = |S_+ psi|^2 + <S_z^2 + S_z>. S_+ psi is built on the
+    (2,)*n tensor: site k raises a down spin (index 1 on its axis) to up.
+    """
     psi = np.asarray(state)
-    n = int(math.log2(psi.size))
-    idx = np.arange(psi.size)
+    n = site_count(psi)
+    tensor = psi.reshape([2] * n)
+    raised = np.zeros_like(tensor)
+    for axis in range(n):
+        lead = (slice(None),) * axis
+        raised[lead + (0,)] += tensor[lead + (1,)]
 
-    # S_z is diagonal: eigenvalue (n_up - n_down)/2
-    popcount = np.zeros(psi.size, dtype=np.int64)
-    for k in range(n):
-        popcount += (idx >> k) & 1
-    sz = (n - 2 * popcount) / 2.0
-    out = float(np.vdot(sz * psi, sz * psi).real)
-
-    # S_x and S_y flip one bit at a time
-    sx = np.zeros(psi.size, dtype=complex)
-    sy = np.zeros(psi.size, dtype=complex)
-    for k in range(n):
-        flipped = idx ^ (1 << k)
-        bit = (idx >> k) & 1
-        sx[flipped] = sx[flipped] + 0.5 * psi
-        # sigma_y: |0> -> i|1>, |1> -> -i|0>
-        phase = np.where(bit == 0, 1j, -1j)
-        sy[flipped] = sy[flipped] + 0.5 * phase * psi
-    out += float(np.vdot(sx, sx).real) + float(np.vdot(sy, sy).real)
-    return out
+    # S_z is diagonal, a sum of +-1/2 per site (up +, down -)
+    sz = np.zeros(1)
+    for _ in range(n):
+        sz = np.add.outer(sz, (0.5, -0.5)).ravel()
+    weight = (psi * psi.conj()).real
+    return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
 
 def bipartition_matrix(psi, n, keep):
@@ -115,10 +128,16 @@ def bipartition_matrix(psi, n, keep):
 
 
 def dump_state(state, path, m, boundary):
-    """Write amplitudes in index order, one per line, after a header line."""
-    psi = np.asarray(state)
-    n = int(math.log2(psi.size))
+    """Write amplitudes in index order, one per line, after a header line.
+
+    Each distinct amplitude is formatted once. Distinct means a distinct
+    float64 bit pattern, so 0.0 and -0.0 keep their own text.
+    """
+    psi = np.asarray(state, dtype=np.float64)
+    n = site_count(psi)
+    bits = np.ascontiguousarray(psi).view(np.int64)
+    values = np.unique(bits)
+    text = np.array([f"{float(amp):.17g}\n" for amp in values.view(np.float64)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
-        for amp in psi:
-            fh.write(f"{float(amp):.17g}\n")
+        fh.write("".join(text[np.searchsorted(values, bits)].tolist()))

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written by a different route than the package
 code: coverings come from subset enumeration instead of backtracking, state
-amplitudes from per-index sign products instead of vector tensoring, marginals
-from explicit index loops instead of reshape/transpose, and Schmidt values
-from numpy's SVD instead of Gram eigenvalues / power iteration.
+amplitudes from per-index sign products or per-orientation loops instead of
+one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
+marginals from explicit index loops instead of reshape/transpose, Schmidt
+values from numpy's SVD instead of Gram eigenvalues / power iteration, and
+the amplitude dump line by line instead of once per distinct value.
 """
 
 import itertools
@@ -69,6 +71,72 @@ def oracle_state(coverings, n):
                     break
             amps[idx] += prod
     return amps / np.linalg.norm(amps)
+
+
+def loop_covering_state(covering, n):
+    """One covering's product state by a loop over its 2^(n/2) orientations.
+
+    Orientation bit t puts the t-th dimer in its minus branch (down on the
+    A-site); each orientation adds its signed amplitude to one index.
+    """
+    pairs = list(covering)
+    k = len(pairs)
+    scale = (1.0 / math.sqrt(2.0)) ** k
+    psi = np.zeros(1 << n)
+    for orient in range(1 << k):
+        idx = 0
+        sign = 1
+        for t, (a, b) in enumerate(pairs):
+            if (orient >> t) & 1:
+                idx |= 1 << a
+                sign = -sign
+            else:
+                idx |= 1 << b
+        psi[idx] += sign * scale
+    return psi
+
+
+def loop_rvb_state(coverings, n):
+    """Normalized covering sum, adding one covering state at a time."""
+    psi = np.zeros(1 << n)
+    for covering in coverings:
+        psi += loop_covering_state(covering, n)
+    psi /= np.linalg.norm(psi)
+    return psi
+
+
+def oracle_total_spin_squared(psi):
+    """<psi| S_tot^2 |psi> as |S_x psi|^2 + |S_y psi|^2 + |S_z psi|^2, with
+    each S_a = sum_k sigma_a^(k) / 2 applied by index flips and phases."""
+    psi = np.asarray(psi)
+    n = psi.size.bit_length() - 1
+    idx = np.arange(psi.size)
+    popcount = np.zeros(psi.size, dtype=np.int64)
+    for k in range(n):
+        popcount += (idx >> k) & 1
+    sz = (n - 2 * popcount) / 2.0
+    out = float(np.vdot(sz * psi, sz * psi).real)
+
+    sx = np.zeros(psi.size, dtype=complex)
+    sy = np.zeros(psi.size, dtype=complex)
+    for k in range(n):
+        flipped = idx ^ (1 << k)
+        bit = (idx >> k) & 1
+        sx[flipped] = sx[flipped] + 0.5 * psi
+        # sigma_y: |0> -> i|1>, |1> -> -i|0>
+        phase = np.where(bit == 0, 1j, -1j)
+        sy[flipped] = sy[flipped] + 0.5 * phase * psi
+    return out + float(np.vdot(sx, sx).real) + float(np.vdot(sy, sy).real)
+
+
+def reference_dump(psi, path, m, boundary):
+    """Amplitude dump written line by line: header, then one value per index."""
+    psi = np.asarray(psi)
+    n = psi.size.bit_length() - 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
+        for amp in psi:
+            fh.write(f"{float(amp):.17g}\n")
 
 
 def oracle_partial_trace(psi, keep):

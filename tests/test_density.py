@@ -61,6 +61,11 @@ def test_partial_trace_validation():
         partial_trace(psi, [0, 3])
 
 
+def test_partial_trace_rejects_non_power_of_two_length():
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        partial_trace(np.full(6, 1.0 / math.sqrt(6.0)), [0])
+
+
 def test_werner_parameter_pure_singlet():
     rho = partial_trace(singlet_pair(0, 1, 2), [0, 1])
     fit = werner_parameter(rho, 0, 1)

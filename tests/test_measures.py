@@ -217,6 +217,11 @@ def test_ggm_requires_normalized_state():
         ggm(np.ones(8))
 
 
+def test_ggm_rejects_non_power_of_two_length():
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        ggm(np.full(6, 1.0 / math.sqrt(6.0)))
+
+
 def test_ggm_matches_svd_oracle_small(ladder_state):
     for key in ((2, "open", "forbid"), (3, "open", "forbid"),
                 (3, "periodic", "twist")):

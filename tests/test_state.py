@@ -9,10 +9,15 @@ import pytest
 from rvb_ladder import (build_ladder, covering_state, dump_state,
                         enumerate_coverings, rvb_state, singlet_pair,
                         total_spin_squared)
+from rvb_ladder.state import site_count
 
 import oracles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# every ladder configuration with N = 2m <= 16 sites
+CONFIGS = [(m, boundary, odd_wrap) for m in range(2, 9)
+           for boundary in ("open", "periodic") for odd_wrap in ("forbid", "twist")]
 
 
 def test_singlet_pair_two_sites():
@@ -61,6 +66,7 @@ def test_covering_state_matches_oracle_products():
         got = covering_state(covering, lat.n)
         want = oracles.oracle_state([covering], lat.n)
         assert np.allclose(got, want, atol=1e-12)
+        assert got.tobytes() == oracles.loop_covering_state(covering, lat.n).tobytes()
 
 
 def test_covering_state_rejects_partial_cover():
@@ -94,7 +100,9 @@ def test_rvb_state_real_and_normalized(ladder_state):
 
 
 def test_rvb_state_is_total_singlet(ladder_state):
-    for m, b, w in oracles.EXPECTED:
+    largest = ((7, "periodic", "twist"), (7, "open", "forbid"),
+               (8, "periodic", "forbid"), (8, "open", "forbid"))  # N = 14, 16
+    for m, b, w in (*oracles.EXPECTED, *largest):
         _, psi = ladder_state(m, b, w)
         assert total_spin_squared(psi) < 1e-10, (m, b, w)
 
@@ -134,3 +142,70 @@ def test_dump_state_roundtrip(tmp_path):
     values = [float(tok) for tok in lines[1:]]
     assert len(values) == 16
     assert np.allclose(values, psi, atol=1e-16)
+
+
+def test_site_count():
+    for n in range(1, 17):
+        assert site_count(np.zeros(1 << n)) == n
+    for size in (0, 1, 3, 6, 12, 1000):
+        with pytest.raises(ValueError, match="not 2\\^n"):
+            site_count(np.zeros(size))
+
+
+def test_total_spin_squared_rejects_non_power_of_two_length():
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        total_spin_squared(np.full(6, 1.0 / math.sqrt(6.0)))
+
+
+def test_dump_state_rejects_non_power_of_two_length(tmp_path):
+    path = tmp_path / "state.txt"
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        dump_state(np.full(6, 1.0 / math.sqrt(6.0)), path, 1, "open")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("m, boundary, odd_wrap", CONFIGS)
+def test_rvb_state_bit_identical_to_loop_sum(m, boundary, odd_wrap):
+    lat = build_ladder(m, boundary, odd_wrap)
+    want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)
+    assert rvb_state(lat).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_total_spin_squared_matches_pauli_sum_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    real = rng.standard_normal(1 << n)
+    cplx = real + 1j * rng.standard_normal(1 << n)
+    for psi in (real / np.linalg.norm(real), cplx / np.linalg.norm(cplx)):
+        got = total_spin_squared(psi)
+        assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12, (n, psi.dtype)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_total_spin_squared_fully_polarised_is_exact(n):
+    want = (n / 2) * (n / 2 + 1)
+    for index in (0, (1 << n) - 1):  # all up, all down
+        psi = np.zeros(1 << n)
+        psi[index] = 1.0
+        assert total_spin_squared(psi) == want
+
+
+def test_dump_state_bytes_match_line_writer_n16(tmp_path, ladder_state):
+    lat, psi = ladder_state(8, "periodic")
+    dump_state(psi, tmp_path / "got.txt", lat.m, lat.boundary)
+    oracles.reference_dump(psi, tmp_path / "want.txt", lat.m, lat.boundary)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_dump_state_bytes_keep_signed_zeros_and_subnormals(tmp_path):
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal(1024)
+    psi[[3, 500, 1000]] = 0.0, -0.0, 5e-324
+    assert len(np.unique(psi.view(np.int64))) == 1024
+    dump_state(psi, tmp_path / "got.txt", 5, "open")
+    oracles.reference_dump(psi, tmp_path / "want.txt", 5, "open")
+    got = (tmp_path / "got.txt").read_bytes()
+    assert got == (tmp_path / "want.txt").read_bytes()
+    lines = got.decode().splitlines()
+    assert lines[0] == "rvb n=10 boundary=open m=5"
+    assert (lines[4], lines[501], lines[1001]) == ("0", "-0", "4.9406564584124654e-324")
