@@ -16,10 +16,9 @@ from .lattice import (Edge, LadderLattice, automorphisms, build_ladder,
                       count_coverings, describe, enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
-                       monogamy_surface_sample, tangle,
-                       tangle_from_density_matrix)
-from .numerics import (PolyFit, bisect_boundary, dominant_singular_value,
-                       hermitian_eigenvalues, poly_fit, singular_values)
+                       monogamy_surface_sample, tangle)
+from .numerics import (PolyFit, dominant_singular_value, hermitian_eigenvalues,
+                       poly_fit)
 from .state import (covering_state, dump_state, rvb_state, singlet_pair,
                     total_spin_squared)
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
@@ -31,9 +30,8 @@ __all__ = [
     "dump_state",
     "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",
     "edge_werner_parameters", "regional_entanglement", "teleportation_fidelities",
-    "hermitian_eigenvalues", "singular_values", "dominant_singular_value",
-    "bisect_boundary", "PolyFit", "poly_fit",
-    "tangle", "tangle_from_density_matrix", "MonogamyRecord", "monogamy_check",
+    "hermitian_eigenvalues", "dominant_singular_value", "PolyFit", "poly_fit",
+    "tangle", "MonogamyRecord", "monogamy_check",
     "monogamy_surface_sample", "CloningBoundRecord", "cloning_theta_sets",
     "GgmRecord", "ggm",
     "RunConfig", "SizeRow", "EntanglementReport", "run_sweep",

@@ -28,8 +28,6 @@ def build_parser():
     sweep.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     sweep.add_argument("--out", required=True, metavar="DIR",
                        help="output directory for the figure CSVs")
-    sweep.add_argument("--theta-tol", type=float, default=1e-9,
-                       help="slack when intersecting cloning angle windows (default 1e-9)")
     sweep.add_argument("--dump-states", action="store_true",
                        help="also write the full amplitude vectors")
     sweep.add_argument("--surface-res", type=int, default=100,
@@ -47,7 +45,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     config = RunConfig(sizes=args.sizes, boundary=args.boundary,
                        odd_wrap=args.odd_wrap, out_dir=args.out,
-                       theta_tol=args.theta_tol, dump_states=args.dump_states,
+                       dump_states=args.dump_states,
                        surface_res=args.surface_res)
     try:
         report = run_sweep(config)

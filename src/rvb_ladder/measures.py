@@ -8,6 +8,7 @@ pair (p_r, p_s) through a machine angle theta in [0, pi/2]:
     S1 = {theta : p_r <= (sin^2 theta + sqrt(2) sin 2theta) / 3}
     S2 = {theta : p_s <= 1 - (4/3) sin^2 theta}
 and theta_max = max(S1 intersect S2) when the intersection is nonempty.
+Both sets are single intervals with closed-form ends.
 
 The generalized geometric measure of a pure n-site state is
 1 - max lambda^2 over all bipartitions, lambda the top Schmidt coefficient.
@@ -16,7 +17,7 @@ one bipartition per symmetry orbit suffices.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from . import numerics
 from .state import bipartition_matrix, site_count
 
 _P_EPS = 1e-12
+_PHI = math.atan(1.0 / (2.0 * math.sqrt(2.0)))  # phase of the rail bound
+_TOUCH_TOL = 1e-12  # rounding slack for windows that touch in one angle
 MAX_SITES = 16  # largest state the GGM scan and the sweep accept
 
 
@@ -32,24 +35,6 @@ def tangle(p):
     if not -1.0 / 3.0 - _P_EPS <= p <= 1.0 + _P_EPS:
         raise ValueError(f"Werner parameter {p} outside [-1/3, 1]")
     return max(0.0, (3.0 * p - 1.0) / 2.0) ** 2
-
-
-def tangle_from_density_matrix(rho):
-    """Wootters tangle of an arbitrary two-qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("density matrix trace is not 1")
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sy, sy)
-    rho_tilde = yy @ rho.conj() @ yy
-    eigs = np.linalg.eigvals(rho @ rho_tilde)
-    lams = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)))[::-1]
-    c = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return c * c
 
 
 @dataclass(frozen=True)
@@ -84,74 +69,46 @@ def monogamy_surface_sample(grid_resolution):
     return rows
 
 
-def _g_rail(theta):
-    return (math.sin(theta) ** 2 + math.sqrt(2.0) * math.sin(2.0 * theta)) / 3.0
-
-
-def _g_step(theta):
-    return 1.0 - 4.0 / 3.0 * math.sin(theta) ** 2
-
-
 @dataclass(frozen=True)
 class CloningBoundRecord:
     p_r: float
     p_s: float
-    grid_resolution: int
-    s1: tuple  # union of closed intervals (lo, hi)
-    s2: tuple
+    s1: tuple  # the rail window as () or ((lo, hi),)
+    s2: tuple  # the step window, likewise
     theta_max: object  # float, or None for an empty intersection
+    margin: object  # min(hi1, hi2) - max(lo1, lo2), or None if a window is empty
 
 
-def _feasible_intervals(pred, grid_resolution, endpoint_tol=1e-10):
-    """Closed intervals of {theta in [0, pi/2] : pred(theta)} by grid scan
-    with bisection refinement of the boundaries."""
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_resolution)
-    flags = [bool(pred(t)) for t in thetas]
-    intervals = []
-    start = None
-    for i, ok in enumerate(flags):
-        if ok and start is None:
-            start = i
-        if start is not None and (not ok or i == len(flags) - 1):
-            last = i if ok else i - 1
-            lo = thetas[start]
-            if start > 0:
-                lo = numerics.bisect_boundary(pred, thetas[start - 1], thetas[start],
-                                              endpoint_tol)
-            hi = thetas[last]
-            if last < len(flags) - 1:
-                hi = numerics.bisect_boundary(pred, thetas[last], thetas[last + 1],
-                                              endpoint_tol)
-            intervals.append((lo, hi))
-            start = None
-    return tuple(intervals)
+def cloning_theta_sets(p_r, p_s):
+    """Feasible-theta windows of the cloning bounds and their common maximum.
 
-
-def _intersect_unions(u1, u2, tol):
-    out = []
-    for lo1, hi1 in u1:
-        for lo2, hi2 in u2:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo <= hi + tol:
-                out.append((lo, max(lo, hi)))
-    return tuple(sorted(out))
-
-
-def cloning_theta_sets(p_r, p_s, grid_resolution=2048, theta_tol=1e-9):
-    """Feasible-theta sets of the cloning bounds and their common maximum.
-
-    Interval endpoints are refined by bisection to 1e-10; the two unions are
-    intersected allowing `theta_tol` slack so that boundary-touching sets
-    (a single common point) are detected.
+    With phi = atan(1/(2 sqrt 2)), the rail bound reads
+    sin(2 theta - phi) >= x = 2 p_r - 1/3 and the step bound
+    sin^2 theta <= y = 3 (1 - p_s) / 4, so
+        S1 = [(phi + asin x) / 2, (phi + pi - asin x) / 2] intersect [0, pi/2]
+        S2 = [0, asin sqrt y]
+    with S1 empty for x > 1 and S2 empty for y < 0. The signed margin is the
+    width of the common interval, negative when the windows miss each other;
+    they count as touching, with theta_max at the touching angle, down to a
+    rounding-level margin of -1e-12.
     """
-    if grid_resolution < 2:
-        raise ValueError("need grid resolution >= 2")
-    s1 = _feasible_intervals(lambda t: _g_rail(t) >= p_r, grid_resolution)
-    s2 = _feasible_intervals(lambda t: _g_step(t) >= p_s, grid_resolution)
-    common = _intersect_unions(s1, s2, theta_tol)
-    theta_max = max((hi for lo, hi in common), default=None)
-    return CloningBoundRecord(p_r=p_r, p_s=p_s, grid_resolution=grid_resolution,
-                              s1=s1, s2=s2, theta_max=theta_max)
+    x = max(2.0 * p_r - 1.0 / 3.0, -1.0)
+    y = min(3.0 * (1.0 - p_s) / 4.0, 1.0)
+    s1 = s2 = ()
+    if x <= 1.0:
+        a = math.asin(x)
+        s1 = ((max((_PHI + a) / 2.0, 0.0),
+               min((_PHI + math.pi - a) / 2.0, math.pi / 2.0)),)
+    if y >= 0.0:
+        s2 = ((0.0, math.asin(math.sqrt(y))),)
+    theta_max = margin = None
+    if s1 and s2:
+        lo, hi = max(s1[0][0], s2[0][0]), min(s1[0][1], s2[0][1])
+        margin = hi - lo
+        if margin >= -_TOUCH_TOL:
+            theta_max = max(lo, hi)
+    return CloningBoundRecord(p_r=p_r, p_s=p_s, s1=s1, s2=s2,
+                              theta_max=theta_max, margin=margin)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,6 @@ def hermitian_eigenvalues(matrix):
     return list(np.linalg.eigvalsh(mat)[::-1])
 
 
-def singular_values(matrix):
-    """Singular values, descending."""
-    return list(np.linalg.svd(np.asarray(matrix), compute_uv=False))
-
-
 def dominant_singular_value(matrix, tol=1e-12, max_iter=1000):
     """Largest singular value by power iteration on A^H A.
 
@@ -47,20 +42,6 @@ def dominant_singular_value(matrix, tol=1e-12, max_iter=1000):
             break
         prev = cur
     return float(np.sqrt(max(cur, 0.0)))
-
-
-def bisect_boundary(predicate, lo, hi, tol):
-    """Boundary point where a predicate flips on [lo, hi], within tol."""
-    plo, phi = bool(predicate(lo)), bool(predicate(hi))
-    if plo == phi:
-        raise ValueError("predicate does not flip on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bool(predicate(mid)) == plo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,11 @@ def dump_state(state, path, m, boundary):
     """Write amplitudes in index order, one per line, after a header line.
 
     Each distinct amplitude is formatted once. Distinct means a distinct
-    float64 bit pattern, so 0.0 and -0.0 keep their own text.
+    float64 bit pattern, so 0.0 and -0.0 keep their own text. A complex
+    vector raises ValueError: the format has no room for imaginary parts.
     """
+    if np.iscomplexobj(state):
+        raise ValueError("cannot dump a complex state: amplitudes are written as reals")
     psi = np.asarray(state, dtype=np.float64)
     n = site_count(psi)
     bits = np.ascontiguousarray(psi).view(np.int64)

@@ -14,7 +14,6 @@ class RunConfig:
     boundary: str = "periodic"
     odd_wrap: str = "twist"
     out_dir: object = None  # path-like or None for in-memory runs
-    theta_tol: float = 1e-9
     dump_states: bool = False
     surface_res: int = 100
 
@@ -84,7 +83,7 @@ def _run_size(m, config):
         p_avg = sum(density.regional_entanglement(lat, fits, s) for s in deg3) / len(deg3)
     F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
-    clone = measures.cloning_theta_sets(agg.p_r, agg.p_s, theta_tol=config.theta_tol)
+    clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
     gg = measures.ggm(psi, symmetries=lattice.automorphisms(lat))
     steps_inside, _ = _column_mask_info(gg.mask, m)
     aligned_mask = None
@@ -114,6 +113,8 @@ def run_sweep(config):
         raise ValueError(f"bad boundary {config.boundary!r}")
     if config.odd_wrap not in lattice.ODD_WRAPS:
         raise ValueError(f"bad odd_wrap {config.odd_wrap!r}")
+    if config.surface_res < 2:
+        raise ValueError(f"surface resolution {config.surface_res} < 2")
 
     report = EntanglementReport(config=config)
     for m in sorted(config.sizes):
@@ -218,9 +219,10 @@ def emit_csv(report, out_dir):
                  r.monogamy.tangle_rail, r.monogamy.tangle_step, r.monogamy.satisfied)
                 for r in rows])
     _write_csv(detail / "cloning.csv",
-               ["n", "p_r", "p_s", "theta_max", "s1_intervals", "s2_intervals"],
+               ["n", "p_r", "p_s", "theta_max", "s1_intervals", "s2_intervals", "margin"],
                [(r.n, r.cloning.p_r, r.cloning.p_s, r.cloning.theta_max,
-                 _intervals_str(r.cloning.s1), _intervals_str(r.cloning.s2))
+                 _intervals_str(r.cloning.s1), _intervals_str(r.cloning.s2),
+                 r.cloning.margin)
                 for r in rows])
     _write_csv(detail / "ggm.csv",
                ["n", "ggm", "max_schmidt_sq", "maximizing_partition", "steps_on_A_side"],
@@ -239,7 +241,6 @@ def emit_csv(report, out_dir):
     with open(detail / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(f"sizes={','.join(str(m) for m in sorted(cfg.sizes))}\n"
                  f"boundary={cfg.boundary}\nodd_wrap={cfg.odd_wrap}\n"
-                 f"theta_tol={format(cfg.theta_tol, '.12g')}\n"
                  f"surface_res={cfg.surface_res}\ndump_states={cfg.dump_states}\n")
 
     if cfg.dump_states:

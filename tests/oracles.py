@@ -5,8 +5,10 @@ code: coverings come from subset enumeration instead of backtracking, state
 amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 marginals from explicit index loops instead of reshape/transpose, Schmidt
-values from numpy's SVD instead of Gram eigenvalues / power iteration, and
-the amplitude dump line by line instead of once per distinct value.
+values from numpy's SVD instead of Gram eigenvalues / power iteration, the
+amplitude dump line by line instead of once per distinct value, the tangle
+from Wootters' concurrence instead of the Werner closed form, and the
+cloning windows by grid scan and bisection instead of closed forms.
 """
 
 import itertools
@@ -185,6 +187,29 @@ def oracle_schmidt_sq_max(psi, mask):
     return float(top * top)
 
 
+def singular_values(matrix):
+    """Singular values, descending."""
+    return list(np.linalg.svd(np.asarray(matrix), compute_uv=False))
+
+
+def tangle_from_density_matrix(rho):
+    """Wootters tangle of an arbitrary two-qubit density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValueError("density matrix trace is not 1")
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sy, sy)
+    rho_tilde = yy @ rho.conj() @ yy
+    eigs = np.linalg.eigvals(rho @ rho_tilde)
+    lams = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)))[::-1]
+    c = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    return c * c
+
+
 def oracle_ggm(psi):
     psi = np.asarray(psi)
     n = psi.size.bit_length() - 1
@@ -208,6 +233,67 @@ def oracle_theta_max(p_r, p_s, points=2_000_001, slack=0.0):
         if g_rail(theta) >= p_r - slack and g_step(theta) >= p_s - slack:
             best = float(theta)
     return best
+
+
+def bisect_boundary(predicate, lo, hi, tol):
+    """Boundary point where a predicate flips on [lo, hi], within tol."""
+    plo, phi = bool(predicate(lo)), bool(predicate(hi))
+    if plo == phi:
+        raise ValueError("predicate does not flip on the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if bool(predicate(mid)) == plo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def feasible_intervals(pred, grid_resolution, endpoint_tol=1e-10):
+    """Closed intervals of {theta in [0, pi/2] : pred(theta)} by grid scan
+    with bisection refinement of the boundaries."""
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_resolution)
+    flags = [bool(pred(t)) for t in thetas]
+    intervals = []
+    start = None
+    for i, ok in enumerate(flags):
+        if ok and start is None:
+            start = i
+        if start is not None and (not ok or i == len(flags) - 1):
+            last = i if ok else i - 1
+            lo = thetas[start]
+            if start > 0:
+                lo = bisect_boundary(pred, thetas[start - 1], thetas[start], endpoint_tol)
+            hi = thetas[last]
+            if last < len(flags) - 1:
+                hi = bisect_boundary(pred, thetas[last], thetas[last + 1], endpoint_tol)
+            intervals.append((lo, hi))
+            start = None
+    return tuple(intervals)
+
+
+def intersect_unions(u1, u2, tol):
+    out = []
+    for lo1, hi1 in u1:
+        for lo2, hi2 in u2:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo <= hi + tol:
+                out.append((lo, max(lo, hi)))
+    return tuple(sorted(out))
+
+
+def grid_cloning_theta_sets(p_r, p_s, grid_resolution=2048, theta_tol=1e-9):
+    """(S1, S2, theta_max) of the cloning bounds by grid scan and bisection.
+
+    Endpoints are refined to 1e-10; the unions are intersected with
+    `theta_tol` slack so that windows touching in one angle still meet. A
+    window narrower than the grid spacing can fall between grid points and
+    be missed.
+    """
+    s1 = feasible_intervals(lambda t: g_rail(t) >= p_r, grid_resolution)
+    s2 = feasible_intervals(lambda t: g_step(t) >= p_s, grid_resolution)
+    common = intersect_unions(s1, s2, theta_tol)
+    return s1, s2, max((hi for lo, hi in common), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets, ggm,
-                        measures, monogamy_check, monogamy_surface_sample,
-                        partial_trace, rvb_state, singlet_pair, tangle,
-                        tangle_from_density_matrix)
+from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets,
+                        edge_werner_parameters, ggm, measures, monogamy_check,
+                        monogamy_surface_sample, partial_trace, rvb_state,
+                        singlet_pair, tangle)
 
 import oracles
+from oracles import tangle_from_density_matrix
 
 
 def test_tangle_formula():
@@ -158,11 +161,10 @@ def test_cloning_tangency_detected():
     # asin(1/sqrt(3)); the intersection must not be reported empty
     rec = cloning_theta_sets(5.0 / 9.0, 5.0 / 9.0)
     assert rec.theta_max is not None
-    assert rec.theta_max == pytest.approx(math.asin(1.0 / math.sqrt(3.0)), abs=2e-9)
+    assert rec.theta_max == pytest.approx(math.asin(1.0 / math.sqrt(3.0)), abs=1e-12)
 
 
 def test_cloning_expected_closed_forms(ladder_state):
-    from rvb_ladder import edge_werner_parameters
     for (m, b, w), exp in oracles.EXPECTED.items():
         if "theta" not in exp or "p_r" not in exp:
             continue
@@ -172,7 +174,7 @@ def test_cloning_expected_closed_forms(ladder_state):
         if exp["theta"] is None:
             assert rec.theta_max is None, (m, b, w)
         else:
-            assert rec.theta_max == pytest.approx(exp["theta"], abs=2e-9), (m, b, w)
+            assert rec.theta_max == pytest.approx(exp["theta"], abs=1e-12), (m, b, w)
 
 
 def test_cloning_degenerate_examples():
@@ -185,9 +187,43 @@ def test_cloning_degenerate_examples():
     assert rec.theta_max == pytest.approx(math.pi / 3.0, abs=1e-9)
 
 
-def test_cloning_validation():
-    with pytest.raises(ValueError):
-        cloning_theta_sets(0.5, 0.5, grid_resolution=1)
+def test_cloning_margin_at_the_cube_and_k33(ladder_state):
+    # N = 6 (K3,3): the windows touch in one angle, margin at rounding level;
+    # N = 8 (the cube): they overlap by a clear margin
+    margins = {}
+    for m in (3, 4):
+        lat, psi = ladder_state(m, "periodic", "twist")
+        _, agg = edge_werner_parameters(lat, psi)
+        margins[lat.n] = cloning_theta_sets(agg.p_r, agg.p_s).margin
+    assert abs(margins[6]) <= 1e-12
+    assert margins[8] > 0.07
+    assert abs(cloning_theta_sets(5.0 / 9.0, 5.0 / 9.0).margin) <= 1e-12
+
+
+def test_cloning_margin_sign_and_empty_windows():
+    assert cloning_theta_sets(0.5, 0.6).margin > 0.0
+    assert cloning_theta_sets(0.66, 0.9).margin < 0.0  # disjoint windows
+    assert cloning_theta_sets(0.7, 0.5).margin is None  # S1 empty
+    assert cloning_theta_sets(0.5, 1.2).margin is None  # S2 empty
+
+
+# windows narrower than the oracle's grid spacing can fall between its points
+_GRID_STEP = (math.pi / 2.0) / 2047
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1.0 / 3.0, 1.0), st.floats(-1.0 / 3.0, 1.0))
+def test_cloning_closed_form_matches_grid_oracle(p_r, p_s):
+    rec = cloning_theta_sets(p_r, p_s)
+    s1, s2, theta_max = oracles.grid_cloning_theta_sets(p_r, p_s)
+    if any(hi - lo < _GRID_STEP for (lo, hi) in rec.s1 + rec.s2):
+        return
+    assert len(rec.s1) == len(s1) and len(rec.s2) == len(s2)
+    if rec.margin is not None and abs(rec.margin) <= 1e-8:
+        return  # touching windows: only the tolerance decides, see tangency test
+    assert (rec.theta_max is None) == (theta_max is None)
+    if theta_max is not None:
+        assert rec.theta_max == pytest.approx(theta_max, abs=1e-9)
 
 
 def test_ggm_product_state_is_zero():

@@ -1,13 +1,15 @@
-"""Numeric kernels: eigen/singular values, bisection, polynomial fits."""
+"""Numeric kernels: eigenvalues, power iteration, polynomial fits; the SVD
+and bisection reference routes of the test oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (bisect_boundary, build_ladder, dominant_singular_value,
-                        hermitian_eigenvalues, poly_fit, rvb_state,
-                        singular_values)
+from rvb_ladder import (build_ladder, dominant_singular_value,
+                        hermitian_eigenvalues, poly_fit, rvb_state)
+
+from oracles import bisect_boundary, singular_values
 
 
 def test_hermitian_eigenvalues_known_matrix():

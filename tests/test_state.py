@@ -164,6 +164,15 @@ def test_dump_state_rejects_non_power_of_two_length(tmp_path):
     assert not path.exists()
 
 
+def test_dump_state_rejects_complex_input(tmp_path):
+    path = tmp_path / "state.txt"
+    with pytest.raises(ValueError, match="complex"):
+        dump_state([0.6 + 0.1j, 0.8j, 0.0, 0.0], path, 1, "open")
+    with pytest.raises(ValueError, match="complex"):
+        dump_state(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), path, 1, "open")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("m, boundary, odd_wrap", CONFIGS)
 def test_rvb_state_bit_identical_to_loop_sum(m, boundary, odd_wrap):
     lat = build_ladder(m, boundary, odd_wrap)

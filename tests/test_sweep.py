@@ -114,6 +114,12 @@ def test_csv_contents(tmp_path):
     config = (out / "detail" / "config.txt").read_text()
     assert "boundary=periodic" in config
     assert "odd_wrap=twist" in config
+    assert "theta_tol" not in config
+
+    cloning = (out / "detail" / "cloning.csv").read_text().splitlines()
+    assert cloning[0] == "n,p_r,p_s,theta_max,s1_intervals,s2_intervals,margin"
+    assert cloning[1].startswith("6,")
+    assert abs(float(cloning[1].split(",")[-1])) <= 1e-12  # N = 6 windows touch
 
     edges = (out / "detail" / "edges.csv").read_text().splitlines()
     assert edges[0] == "n,m,boundary,edge_a,edge_b,kind,allowed,p,residual"
@@ -242,6 +248,14 @@ def test_cli_rejects_bad_sizes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_rejects_bad_surface_res_before_running(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["sweep", "--sizes", "3", "--surface-res", "1", "--out", str(out)])
+    assert code == 2
+    assert "surface resolution" in capsys.readouterr().err
+    assert not out.exists()  # no size ran and nothing was written
+
+
 def test_cli_reports_failures_with_exit_1(tmp_path, monkeypatch, capsys):
     def fake_run_sweep(config):
         report = EntanglementReport(config=config)
@@ -263,7 +277,7 @@ def test_cli_flags_reach_config(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     code = cli.main(["sweep", "--sizes", "4,6", "--boundary", "open",
-                     "--out", str(tmp_path / "o"), "--theta-tol", "1e-8",
+                     "--out", str(tmp_path / "o"),
                      "--dump-states", "--surface-res", "50",
                      "--odd-wrap", "forbid"])
     assert code == 0
@@ -271,6 +285,5 @@ def test_cli_flags_reach_config(tmp_path, monkeypatch):
     assert cfg.sizes == (4, 6)
     assert cfg.boundary == "open"
     assert cfg.odd_wrap == "forbid"
-    assert cfg.theta_tol == 1e-8
     assert cfg.dump_states is True
     assert cfg.surface_res == 50
