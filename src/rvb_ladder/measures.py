@@ -13,21 +13,27 @@ Both sets are single intervals with closed-form ends.
 The generalized geometric measure of a pure n-site state is
 1 - max lambda^2 over all bipartitions, lambda the top Schmidt coefficient.
 Site permutations that map the state to +-itself leave lambda unchanged, so
-one bipartition per symmetry orbit suffices.
+one bipartition per symmetry orbit suffices; for a total singlet, one S_z
+block of each reduced state holds lambda^2.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .state import bipartition_matrix, site_count
+from .state import site_count, total_spin_squared
 
 _P_EPS = 1e-12
 _PHI = math.atan(1.0 / (2.0 * math.sqrt(2.0)))  # phase of the rail bound
 _TOUCH_TOL = 1e-12  # rounding slack for windows that touch in one angle
-MAX_SITES = 16  # largest state the GGM scan and the sweep accept
+_TIE_TOL = 1e-12  # Schmidt^2 gap below which two bipartitions tie
+_SINGLET_TOL = 1e-10  # largest <S^2> that `ggm` accepts as a total singlet
+_CHUNK_ENTRIES = 1 << 13  # amplitudes gathered per stacked eigensolve
+MAX_SITES = 18  # largest state the GGM scan and the sweep accept
 
 
 def tangle(p):
@@ -59,14 +65,12 @@ def monogamy_surface_sample(grid_resolution):
     if grid_resolution < 2:
         raise ValueError("need grid resolution >= 2")
     axis = np.linspace(-1.0 / 3.0, 1.0, grid_resolution)
-    rows = np.empty((grid_resolution * grid_resolution, 3))
-    k = 0
-    for p_r in axis:
-        for p_s in axis:
-            val = (3.0 * p_r - 1.0) ** 2 / 2.0 + (3.0 * p_s - 1.0) ** 2 / 4.0 - 1.0
-            rows[k] = (p_r, p_s, val)
-            k += 1
-    return rows
+    p_r, p_s = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+    # square with pow(), as float64 scalars do; an array's x * x can differ in
+    # the last bit, and fig5's bytes are pinned to pow()
+    val = (np.float_power(3.0 * p_r - 1.0, 2) / 2.0
+           + np.float_power(3.0 * p_s - 1.0, 2) / 4.0 - 1.0)
+    return np.column_stack([p_r, p_s, val])
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,56 @@ class GgmRecord:
     tied_masks: tuple  # all masks whose Schmidt^2 ties the maximum within 1e-12
 
 
-def _schmidt_sq_max(psi, n, mask):
-    keep = [k for k in range(n) if (mask >> k) & 1]
-    if 2 * len(keep) > n:  # Gram matrix on the smaller side
-        keep = [k for k in range(n) if not (mask >> k) & 1]
-    mat = bipartition_matrix(psi, n, keep)
-    gram = mat @ mat.conj().T
-    return numerics.hermitian_eigenvalues(gram)[0], mat
+@functools.lru_cache(maxsize=None)
+def _sector_positions(width, downs):
+    """Down-spin positions of every `width`-site pattern with `downs` down spins.
+
+    Cached read-only; MAX_SITES bounds the keys to a few hundred tables.
+    """
+    combos = list(itertools.combinations(range(width), downs))
+    table = np.array(combos, dtype=np.intp).reshape(len(combos), downs)
+    table.flags.writeable = False
+    return table
+
+
+def _sector_blocks(psi, n, masks):
+    """psi on the S_z sector of each split in `masks`, one (R, C) block each.
+
+    Every split has the same size k <= n/2 of its smaller side. Rows run over
+    the patterns of that side with k // 2 down spins, columns over the
+    patterns of the other n - k sites with n/2 - k // 2 down spins: the only
+    ones a state of total S_z = 0 pairs them with.
+    """
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    bits ^= 2 * bits.sum(axis=1, keepdims=True) > n  # the smaller side
+    k = int(bits[0].sum())
+    # 1 << site for the side's sites, then the rest's, each in ascending order
+    weight = np.left_shift(1, np.argsort(1 - bits, axis=1, kind="stable"))
+    rows = weight[:, :k][:, _sector_positions(k, k // 2)].sum(axis=2)
+    cols = weight[:, k:][:, _sector_positions(n - k, n // 2 - k // 2)].sum(axis=2)
+    return psi[rows[:, :, None] | cols[:, None, :]]
+
+
+def _sector_top_eigenvalues(psi, n, masks):
+    """Top eigenvalue of the reduced state across each split in `masks`.
+
+    Splits are grouped by the size k of their smaller side. Within a group,
+    each chunk of blocks holding at most _CHUNK_ENTRIES amplitudes (or one
+    larger block) gets one batched Gram product and one stacked eigensolve.
+    """
+    ones = sum((masks >> s) & 1 for s in range(n))
+    sizes = np.minimum(ones, n - ones)
+    top = np.empty(len(masks))
+    for k in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == k)
+        entries = math.comb(k, k // 2) * math.comb(n - k, n // 2 - k // 2)
+        step = max(1, _CHUNK_ENTRIES // entries)
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            blocks = _sector_blocks(psi, n, masks[chunk])
+            gram = blocks @ blocks.conj().swapaxes(1, 2)
+            top[chunk] = numerics.hermitian_eigenvalues(gram)[:, 0]
+    return top
 
 
 def _permute_bits(values, perm):
@@ -153,12 +200,20 @@ def _check_symmetry(psi, n, perm):
                          f"max |psi(gx) -+ psi(x)| = {err:.3e}")
 
 
-def ggm(state, tie_tol=1e-12, *, symmetries=()):
+def ggm(state, *, symmetries=()):
     """Generalized geometric measure over all 2^(n-1) - 1 bipartitions.
 
     Site 0 is fixed on the reported side, halving the scan. The recorded
     bipartition is the smallest-bitmask maximizer; exact symmetry can tie
-    several splits, so every tied mask is kept alongside.
+    several splits, so every tied mask (within 1e-12) is kept alongside.
+
+    The state must be a normalized total singlet, <S^2> <= 1e-10, and
+    ValueError is raised otherwise. Then every reduced state rho_A commutes
+    with spin rotations of A, so each of its spin multiplets has a member
+    with S_z^A = 0 (k sites in A, k even) or 1/2 (k odd), and the top
+    eigenvalue of rho_A is the top eigenvalue of that one S_z block: the
+    Gram matrix of a C(k, k//2) x C(n-k, n/2 - k//2) block of psi, taken on
+    the smaller side. The winner's block is cross-checked by power iteration.
 
     `symmetries` are site permutations (perm[site] = image) that map the
     state to plus or minus itself, such as `lattice.automorphisms`. Such a
@@ -177,6 +232,9 @@ def ggm(state, tie_tol=1e-12, *, symmetries=()):
         raise ValueError(f"bipartition scan limited to {MAX_SITES} sites")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state is not normalized")
+    spin_sq = total_spin_squared(psi)
+    if spin_sq > _SINGLET_TOL:
+        raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
 
     full = (1 << n) - 1
     masks = np.arange(1, full, 2)  # bit 0 always set, complement never empty
@@ -186,14 +244,14 @@ def ggm(state, tie_tol=1e-12, *, symmetries=()):
         image = _permute_bits(masks, perm)
         np.minimum(reps, np.where(image & 1, image, full ^ image), out=reps)
     orbits, orbit_of = np.unique(reps, return_inverse=True)
-    lam2 = np.array([_schmidt_sq_max(psi, n, int(rep))[0] for rep in orbits])
+    lam2 = _sector_top_eigenvalues(psi, n, orbits)
     best = float(lam2.max())
-    tied = tuple(masks[best - lam2[orbit_of] <= tie_tol].tolist())
+    tied = tuple(masks[best - lam2[orbit_of] <= _TIE_TOL].tolist())
     winner = tied[0]  # the smallest mask of its orbit, so one computed above
 
     # cross-check the winner with the iterative kernel
-    _, mat = _schmidt_sq_max(psi, n, winner)
-    sigma = numerics.dominant_singular_value(mat)
+    block = _sector_blocks(psi, n, np.array([winner]))[0]
+    sigma = numerics.dominant_singular_value(block)
     if abs(sigma * sigma - best) > 1e-9:
         raise RuntimeError(f"power-iteration cross-check failed: {sigma**2} vs {best}")
 

@@ -8,13 +8,14 @@ FIT_MODELS = ("linear", "quadratic_no_linear_term", "full_quadratic")
 
 
 def hermitian_eigenvalues(matrix):
-    """All eigenvalues of a Hermitian matrix, descending."""
+    """Eigenvalues of a Hermitian matrix, or of each of a (..., d, d) stack,
+    descending along the last axis. Every matrix is checked to be Hermitian."""
     mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"need a square matrix, got {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got {mat.shape}")
+    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > 1e-10:
         raise ValueError("matrix is not Hermitian within 1e-10")
-    return list(np.linalg.eigvalsh(mat)[::-1])
+    return np.linalg.eigvalsh(mat)[..., ::-1]
 
 
 def dominant_singular_value(matrix, tol=1e-12, max_iter=1000):

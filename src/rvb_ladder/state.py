@@ -75,13 +75,16 @@ def covering_state(covering, n):
     return psi
 
 
-def rvb_state(lattice):
+def rvb_state(lattice, coverings=None):
     """Normalized equal superposition of all dimer-covering states.
 
-    One bincount adds the coverings' entries in covering order, so each
-    amplitude is the same sum as adding the covering states one by one.
+    `coverings` is `enumerate_coverings(lattice)`, enumerated here unless
+    the caller passes it. One bincount adds the coverings' entries in
+    covering order, so each amplitude is the same sum as adding the covering
+    states one by one.
     """
-    coverings = enumerate_coverings(lattice)
+    if coverings is None:
+        coverings = enumerate_coverings(lattice)
     if not coverings:
         raise ValueError(f"lattice m={lattice.m} {lattice.boundary} has no dimer covering")
     indices, amps = zip(*(_covering_terms(cov, lattice.n) for cov in coverings))

@@ -71,7 +71,7 @@ def _run_size(m, config):
     count = lattice.count_coverings(lat)
     if count != len(coverings):
         raise RuntimeError(f"covering count mismatch: permanent {count} vs enumerated {len(coverings)}")
-    psi = state.rvb_state(lat)
+    psi = state.rvb_state(lat, coverings)
     spin_sq = state.total_spin_squared(psi)
     if spin_sq > 1e-10:
         raise RuntimeError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")

@@ -5,10 +5,11 @@ code: coverings come from subset enumeration instead of backtracking, state
 amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 marginals from explicit index loops instead of reshape/transpose, Schmidt
-values from numpy's SVD instead of Gram eigenvalues / power iteration, the
-amplitude dump line by line instead of once per distinct value, the tangle
-from Wootters' concurrence instead of the Werner closed form, and the
-cloning windows by grid scan and bisection instead of closed forms.
+values from numpy's SVD or the full Gram matrix of every bipartition instead
+of one S_z block per symmetry orbit, the amplitude dump line by line instead
+of once per distinct value, the tangle from Wootters' concurrence instead of
+the Werner closed form, the cloning windows by grid scan and bisection
+instead of closed forms, and the monogamy surface by a scalar double loop.
 """
 
 import itertools
@@ -173,18 +174,72 @@ def oracle_werner_p(rho):
 
 def oracle_schmidt_sq_max(psi, mask):
     """Top squared Schmidt coefficient across `mask` | rest, via numpy SVD
-    of a matrix assembled by index loops."""
+    of a matrix assembled bit by bit from every basis index."""
     psi = np.asarray(psi)
     n = psi.size.bit_length() - 1
     side = [s for s in range(n) if (mask >> s) & 1]
     rest = [s for s in range(n) if not (mask >> s) & 1]
+    idx = np.arange(psi.size)
+    r = sum(((idx >> s) & 1) << t for t, s in enumerate(side))
+    c = sum(((idx >> s) & 1) << t for t, s in enumerate(rest))
     mat = np.zeros((1 << len(side), 1 << len(rest)), dtype=psi.dtype)
-    for idx in range(psi.size):
-        r = sum(((idx >> s) & 1) << t for t, s in enumerate(side))
-        c = sum(((idx >> s) & 1) << t for t, s in enumerate(rest))
-        mat[r, c] = psi[idx]
+    mat[r, c] = psi
     top = np.linalg.svd(mat, compute_uv=False)[0]
     return float(top * top)
+
+
+def dense_schmidt_sq_max(psi, mask):
+    """Top squared Schmidt coefficient across `mask` | rest from the full
+    Gram matrix of the state reshaped across the split, smaller side first."""
+    psi = np.asarray(psi)
+    n = psi.size.bit_length() - 1
+    keep = [k for k in range(n) if (mask >> k) & 1]
+    if 2 * len(keep) > n:
+        keep = [k for k in range(n) if not (mask >> k) & 1]
+    rest = [k for k in range(n) if k not in keep]
+    axes = [n - 1 - k for k in reversed(keep)] + [n - 1 - k for k in reversed(rest)]
+    mat = psi.reshape([2] * n).transpose(axes).reshape(1 << len(keep), -1)
+    return float(np.linalg.eigvalsh(mat @ mat.conj().T)[-1])
+
+
+def dense_ggm_scan(psi):
+    """(max Schmidt^2, masks within 1e-12 of it) of the full scan over every
+    bipartition with site 0 on the reported side, one dense Gram eigensolve
+    per mask."""
+    n = np.asarray(psi).size.bit_length() - 1
+    masks = range(1, (1 << n) - 1, 2)
+    lam2 = [dense_schmidt_sq_max(psi, mask) for mask in masks]
+    best = max(lam2)
+    return best, tuple(m for m, v in zip(masks, lam2) if best - v <= 1e-12)
+
+
+def loop_monogamy_surface_sample(grid_resolution):
+    """(p_r, p_s, surface value) rows of the monogamy surface, filled by a
+    double loop over the grid in scalar float64 arithmetic."""
+    axis = np.linspace(-1.0 / 3.0, 1.0, grid_resolution)
+    rows = np.empty((grid_resolution * grid_resolution, 3))
+    k = 0
+    for p_r in axis:
+        for p_s in axis:
+            val = (3.0 * p_r - 1.0) ** 2 / 2.0 + (3.0 * p_s - 1.0) ** 2 / 4.0 - 1.0
+            rows[k] = (p_r, p_s, val)
+            k += 1
+    return rows
+
+
+def singlet_combination(terms, n):
+    """Normalized real combination of singlet-pair products on n sites.
+
+    `terms` is a list of (coefficient, site order) pairs; each order
+    pairs its sites two by two, first site as the A site. Returns None when
+    the combination cancels.
+    """
+    psi = np.zeros(1 << n)
+    for coeff, order in terms:
+        pairs = [(order[2 * t], order[2 * t + 1]) for t in range(n // 2)]
+        psi += coeff * loop_covering_state(pairs, n)
+    norm = np.linalg.norm(psi)
+    return psi / norm if norm > 1e-6 else None
 
 
 def singular_values(matrix):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets,
@@ -118,6 +118,12 @@ def test_monogamy_surface_grid():
         monogamy_surface_sample(1)
 
 
+def test_monogamy_surface_bit_identical_to_scalar_loop():
+    for res in (2, 5, 42, 64, 83, 100, 257):
+        want = oracles.loop_monogamy_surface_sample(res)
+        assert monogamy_surface_sample(res).tobytes() == want.tobytes(), res
+
+
 def test_cloning_sets_shape():
     rec = cloning_theta_sets(0.5, 0.6)
     assert rec.p_r == 0.5 and rec.p_s == 0.6
@@ -226,20 +232,32 @@ def test_cloning_closed_form_matches_grid_oracle(p_r, p_s):
         assert rec.theta_max == pytest.approx(theta_max, abs=1e-9)
 
 
+def _product_ghz_w():
+    product = np.zeros(8)
+    product[0] = 1.0
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
+    w = np.zeros(8)
+    w[1] = w[2] = w[4] = 1.0 / math.sqrt(3.0)
+    return product, ghz, w
+
+
 def test_ggm_product_state_is_zero():
-    psi = np.zeros(8)
-    psi[0] = 1.0
-    rec = ggm(psi)
-    assert rec.value == pytest.approx(0.0, abs=1e-12)
+    # not a singlet: the oracle route, which scans every bipartition by SVD
+    product, _, _ = _product_ghz_w()
+    assert oracles.oracle_ggm(product) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ggm_ghz_and_w_states():
-    ghz = np.zeros(8)
-    ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
-    assert ggm(ghz).value == pytest.approx(0.5, abs=1e-12)
-    w = np.zeros(8)
-    w[1] = w[2] = w[4] = 1.0 / math.sqrt(3.0)
-    assert ggm(w).value == pytest.approx(1.0 / 3.0, abs=1e-12)
+    _, ghz, w = _product_ghz_w()
+    assert oracles.oracle_ggm(ghz) == pytest.approx(0.5, abs=1e-12)
+    assert oracles.oracle_ggm(w) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_ggm_rejects_states_that_are_not_singlets():
+    for psi in _product_ghz_w():
+        with pytest.raises(ValueError, match="not a total singlet"):
+            ggm(psi)
 
 
 def test_ggm_two_site_singlet():
@@ -333,45 +351,95 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
         assert any(is_column_aligned(t) for t in rec.tied_masks), (m, b, w)
 
 
-# the orbit route computes each Schmidt value at one mask of the orbit, the
-# full scan at every mask; the two differ only by eigensolver roundoff
+# the orbit route computes each Schmidt value from one S_z block at one mask
+# of the orbit, the dense scan from the full Gram matrix at every mask; the
+# two differ only by eigensolver roundoff
 SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
 
-SYMMETRY_CONFIGS = ([(m, b, w) for m in range(2, 7)
-                     for b in ("open", "periodic") for w in ("forbid", "twist")]
-                    + [(7, "periodic", "twist")])
+# every (m, boundary, odd_wrap) with N <= 12
+SMALL_CONFIGS = [(m, b, w) for m in range(2, 7)
+                 for b in ("open", "periodic") for w in ("forbid", "twist")]
+SYMMETRY_CONFIGS = SMALL_CONFIGS + [(7, "periodic", "twist")]
 
 
 def test_ggm_symmetry_route_matches_full_scan(ladder_state):
     for key in SYMMETRY_CONFIGS:
         lat, psi = ladder_state(*key)
+        best, tied = oracles.dense_ggm_scan(psi)
         full = ggm(psi)
         reduced = ggm(psi, symmetries=automorphisms(lat))
-        assert abs(reduced.value - full.value) <= SYMMETRY_VALUE_TOL, key
-        assert reduced.mask == full.mask, key
-        assert reduced.tied_masks == full.tied_masks, key
-        assert reduced.bipartitions_scanned == full.bipartitions_scanned, key
-        assert reduced.maximizing_bipartition == full.maximizing_bipartition, key
+        n = lat.n
+        for rec in (full, reduced):
+            assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
+            assert rec.mask == tied[0], key
+            assert rec.tied_masks == tied, key
+            assert rec.bipartitions_scanned == (1 << (n - 1)) - 1, key
+            assert rec.maximizing_bipartition == tuple(
+                k for k in range(n) if (tied[0] >> k) & 1), key
 
 
 def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):
     # orbits of the odd masks (site 0 on the kept side) under the ladder group
     orbit_counts = {3: 5, 4: 13, 5: 43, 6: 134, 7: 361}
-    real = measures._schmidt_sq_max
-    seen = set()
+    real = measures._sector_top_eigenvalues
+    seen = []
 
-    def counting(psi, n, mask):
-        seen.add(mask)
-        return real(psi, n, mask)
+    def counting(psi, n, masks):
+        seen.extend(masks.tolist())
+        return real(psi, n, masks)
 
-    monkeypatch.setattr(measures, "_schmidt_sq_max", counting)
+    monkeypatch.setattr(measures, "_sector_top_eigenvalues", counting)
     for m, count in orbit_counts.items():
         lat, psi = ladder_state(m, "periodic", "twist")
         seen.clear()
         rec = ggm(psi, symmetries=automorphisms(lat))
-        assert len(seen) == count, m
+        assert len(seen) == len(set(seen)) == count, m
         assert all(mask & 1 for mask in seen), m
         assert rec.mask in seen, m
+
+
+def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkeypatch):
+    # the one S_z block of each orbit representative holds the full top
+    # Schmidt^2 of its split
+    real = measures._sector_top_eigenvalues
+    calls = []
+
+    def recording(psi, n, masks):
+        top = real(psi, n, masks)
+        calls.append((masks.tolist(), top))
+        return top
+
+    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    for key in SMALL_CONFIGS:
+        lat, psi = ladder_state(*key)
+        calls.clear()
+        ggm(psi, symmetries=automorphisms(lat))
+        ((masks, top),) = calls
+        for mask, lam2 in zip(masks, top):
+            want = oracles.oracle_schmidt_sq_max(psi, mask)
+            assert abs(lam2 - want) <= 1e-12, (key, mask)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ggm_sector_block_on_random_singlets(data):
+    # singlets that are no RVB state: real combinations of singlet-pair
+    # products over random perfect matchings, beyond any ladder geometry
+    n = data.draw(st.sampled_from((4, 6, 8, 10)))
+    terms = data.draw(st.lists(
+        st.tuples(st.floats(-1.0, 1.0, allow_nan=False),
+                  st.permutations(range(n))),
+        min_size=1, max_size=4))
+    psi = oracles.singlet_combination(terms, n)
+    assume(psi is not None)
+    masks = data.draw(st.lists(st.integers(0, (1 << (n - 1)) - 2),
+                               min_size=1, max_size=6, unique=True))
+    masks = np.array([2 * m + 1 for m in masks])  # odd, complement nonempty
+    got = measures._sector_top_eigenvalues(psi, n, masks)
+    for mask, lam2 in zip(masks.tolist(), got):
+        assert abs(lam2 - oracles.oracle_schmidt_sq_max(psi, mask)) <= 1e-12, mask
+    if n <= 8:
+        assert abs(ggm(psi).value - oracles.oracle_ggm(psi)) <= 1e-12
 
 
 def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):

@@ -33,7 +33,30 @@ def test_hermitian_eigenvalue_sum_is_trace():
     mat = (a + a.conj().T) / 2.0
     eigs = hermitian_eigenvalues(mat)
     assert abs(sum(eigs) - np.trace(mat).real) < 1e-10
-    assert eigs == sorted(eigs, reverse=True)
+    assert list(eigs) == sorted(eigs, reverse=True)
+
+
+def test_hermitian_eigenvalues_of_a_stack():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    stack = a + a.conj().swapaxes(-1, -2)
+    eigs = hermitian_eigenvalues(stack)
+    assert eigs.shape == (3, 2, 4)
+    for i in range(3):
+        for j in range(2):
+            assert np.allclose(eigs[i, j], hermitian_eigenvalues(stack[i, j]))
+            assert np.all(np.diff(eigs[i, j]) <= 0.0)
+
+
+def test_hermitian_eigenvalues_checks_every_matrix_of_a_stack():
+    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+    stack[2, 0, 1] = 1.0  # only the last matrix is not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(stack)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros(3))
 
 
 def test_singular_values_known_matrix():

@@ -198,6 +198,35 @@ def test_sixteen_site_ladder_runs():
     assert row.ggm.bipartitions_scanned == (1 << 15) - 1
 
 
+def test_eighteen_site_ladder_runs():
+    report = run_sweep(RunConfig(sizes=(9,), out_dir=None))
+    assert report.failures == []
+    (row,) = report.rows
+    assert row.n == 18
+    assert abs(row.aggregates.p_r - 0.385372469243) < 1e-11
+    assert abs(row.aggregates.p_s - 0.714346604669) < 1e-11
+    assert row.ggm.value == pytest.approx(0.197128563063, abs=1e-11)
+    assert row.ggm.mask == 0x603
+    assert row.ggm.bipartitions_scanned == (1 << 17) - 1
+
+
+def test_run_size_enumerates_the_coverings_once(monkeypatch):
+    real = sweep.lattice.enumerate_coverings
+    calls = []
+
+    def counting(lat):
+        calls.append(lat.m)
+        return real(lat)
+
+    # every module that holds the function looks it up in its own namespace
+    monkeypatch.setattr(sweep.lattice, "enumerate_coverings", counting)
+    monkeypatch.setattr(sweep.state, "enumerate_coverings", counting)
+    row = sweep._run_size(5, RunConfig())
+    assert calls == [5]
+    assert row.covering_count == 13
+    assert row.state.tobytes() == rvb_ladder.rvb_state(row.lattice).tobytes()
+
+
 def test_singlet_invariant_aborts_size(monkeypatch):
     monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
@@ -218,7 +247,7 @@ def test_run_sweep_validation():
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(1,), out_dir=None))
     with pytest.raises(ValueError):
-        run_sweep(RunConfig(sizes=(9,), out_dir=None))  # 18 sites too large
+        run_sweep(RunConfig(sizes=(10,), out_dir=None))  # 20 sites too large
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(3,), boundary="twisted", out_dir=None))
 
@@ -243,7 +272,7 @@ def test_cli_sweep_success(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_sizes(tmp_path, capsys):
-    code = cli.main(["sweep", "--sizes", "9", "--out", str(tmp_path / "o")])
+    code = cli.main(["sweep", "--sizes", "10", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error" in capsys.readouterr().err
 
