@@ -13,20 +13,19 @@ from .density import (EdgeAggregates, WernerFit, edge_werner_parameters,
                       partial_trace, regional_entanglement,
                       teleportation_fidelities, werner_parameter)
 from .lattice import (Edge, LadderLattice, automorphisms, build_ladder,
-                      count_coverings, describe, enumerate_coverings)
+                      count_coverings, enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
                        monogamy_surface_sample, tangle)
 from .numerics import (PolyFit, dominant_singular_value, hermitian_eigenvalues,
                        poly_fit)
-from .state import (covering_state, dump_state, rvb_state, singlet_pair,
-                    total_spin_squared)
+from .state import dump_state, rvb_state, total_spin_squared
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
 
 __all__ = [
     "Edge", "LadderLattice", "build_ladder", "enumerate_coverings",
-    "count_coverings", "automorphisms", "describe",
-    "singlet_pair", "covering_state", "rvb_state", "total_spin_squared",
+    "count_coverings", "automorphisms",
+    "rvb_state", "total_spin_squared",
     "dump_state",
     "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",
     "edge_werner_parameters", "regional_entanglement", "teleportation_fidelities",

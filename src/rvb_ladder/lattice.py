@@ -7,8 +7,9 @@ column are "steps". A dimer may only occupy an edge joining the two
 sublattices; such edges store their A-site endpoint first.
 """
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 BOUNDARIES = ("open", "periodic")
 ODD_WRAPS = ("forbid", "twist")
@@ -24,9 +25,6 @@ class Edge:
     dimer_allowed: bool
     index: int  # position in LadderLattice.edges (keeps parallel edges distinct)
 
-    def sites(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class LadderLattice:
@@ -41,17 +39,8 @@ class LadderLattice:
     def sites(self):
         return range(self.n)
 
-    def site(self, row, col):
-        return row * self.m + col
-
-    def row_col(self, site):
-        return divmod(site, self.m)
-
     def degree(self, site):
         return sum(1 for e in self.edges if site in (e.a, e.b))
-
-    def incident_edges(self, site):
-        return [e for e in self.edges if site in (e.a, e.b)]
 
 
 def build_ladder(m, boundary="periodic", odd_wrap="forbid"):
@@ -140,76 +129,30 @@ def enumerate_coverings(lattice):
 
 
 def count_coverings(lattice):
-    """Number of perfect matchings by a column-by-column dynamic program.
+    """Number of perfect matchings: the permanent of the A x B bond matrix.
 
-    Independent of the backtracking enumeration: sweep the columns left to
-    right, tracking as the frontier which sites of the current column were
-    already matched by a rail from the previous column. Periodic wraps are
-    handled by conditioning on the subset of wrap edges used (their endpoints
-    become pre-matched) and running the open-ladder sweep on the rest, so the
-    twisted closure and the doubled rails of the m = 2 ring both count
-    correctly.
+    Entry (i, j) counts the dimer-allowed edges from the i-th A site to the
+    j-th B site, so the doubled rails of the periodic m = 2 ring count twice.
+    Ryser's formula sums over the 2^k column subsets S of the k x k matrix:
+    perm = sum_S (-1)^(k - |S|) prod_i sum_{j in S} M_ij, exact in int64.
+    It reads only the edge list and the sublattice labels, so it holds on
+    any bipartite lattice and shares nothing with the backtracking
+    enumeration.
     """
-    m = lattice.m
-    n_direct = 2 * (m - 1)  # construction order: direct rails, wrap rails, steps
-    steps = [0] * m
-    rails = {}  # (row, col) -> multiplicity of allowed rail col -> col+1
-    wraps = []
+    a_sites = [s for s in lattice.sites if lattice.sublattice[s] == "A"]
+    b_sites = [s for s in lattice.sites if lattice.sublattice[s] == "B"]
+    if len(a_sites) != len(b_sites):
+        return 0
+    k = len(a_sites)
+    row = {s: i for i, s in enumerate(a_sites)}
+    col = {s: j for j, s in enumerate(b_sites)}
+    bonds = np.zeros((k, k), dtype=np.int64)
     for e in lattice.edges:
-        if not e.dimer_allowed:
-            continue
-        if e.kind == "step":
-            steps[lattice.row_col(e.a)[1]] += 1
-        elif e.index < n_direct:
-            ra, ca = lattice.row_col(e.a)
-            cb = lattice.row_col(e.b)[1]
-            key = (ra, min(ca, cb))
-            rails[key] = rails.get(key, 0) + 1
-        else:
-            wraps.append(e)
-
-    def sweep(pre_matched):
-        # frontier state: (top, bottom) of the current column already matched
-        state = {(False, False): 1}
-        for c in range(m):
-            last = c == m - 1
-            nxt = {}
-            for (top, bot), ways in state.items():
-                top_pre = (0, c) in pre_matched
-                bot_pre = (1, c) in pre_matched
-                if (top and top_pre) or (bot and bot_pre):
-                    continue  # a wrap dimer and a rail dimer collide
-                need_top = not top and not top_pre
-                need_bot = not bot and not bot_pre
-                if not need_top and not need_bot:
-                    options = [((False, False), 1)]
-                elif need_top and need_bot:
-                    options = []
-                    if steps[c]:
-                        options.append(((False, False), steps[c]))
-                    if not last:
-                        w = rails.get((0, c), 0) * rails.get((1, c), 0)
-                        if w:
-                            options.append(((True, True), w))
-                elif need_top:
-                    options = ([((True, False), rails[(0, c)])]
-                               if not last and rails.get((0, c)) else [])
-                else:
-                    options = ([((False, True), rails[(1, c)])]
-                               if not last and rails.get((1, c)) else [])
-                for out, mult in options:
-                    nxt[out] = nxt.get(out, 0) + ways * mult
-            state = nxt
-        return state.get((False, False), 0)
-
-    total = 0
-    for subset in range(1 << len(wraps)):
-        chosen = [w for k, w in enumerate(wraps) if (subset >> k) & 1]
-        ends = [s for w in chosen for s in (w.a, w.b)]
-        if len(set(ends)) != len(ends):
-            continue  # wrap dimers sharing a site cannot coexist
-        total += sweep({lattice.row_col(s) for s in ends})
-    return total
+        if e.dimer_allowed:
+            bonds[row[e.a], col[e.b]] += 1
+    subsets = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    signs = 1 - 2 * ((k - subsets.sum(axis=1)) & 1)
+    return int(signs @ np.prod(subsets @ bonds.T, axis=1))
 
 
 def automorphisms(lattice):
@@ -257,14 +200,3 @@ def automorphisms(lattice):
     extend()
     return tuple(out)
 
-
-def describe(lattice):
-    """Plain-text dump: one line per site, then one per edge."""
-    lines = []
-    for s in lattice.sites:
-        r, c = lattice.row_col(s)
-        lines.append(f"site {s} row {r} col {c} sublattice {lattice.sublattice[s]}")
-    for e in lattice.edges:
-        status = "allowed" if e.dimer_allowed else "forbidden"
-        lines.append(f"edge {e.a} {e.b} {e.kind} {status}")
-    return "\n".join(lines)

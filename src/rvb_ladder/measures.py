@@ -123,6 +123,7 @@ class GgmRecord:
     bipartitions_scanned: int
     mask: int  # bitmask of the maximizing side (smallest among ties)
     tied_masks: tuple  # all masks whose Schmidt^2 ties the maximum within 1e-12
+    total_spin_sq: float  # <S^2> measured by the singlet precondition
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,12 +209,13 @@ def ggm(state, *, symmetries=()):
     several splits, so every tied mask (within 1e-12) is kept alongside.
 
     The state must be a normalized total singlet, <S^2> <= 1e-10, and
-    ValueError is raised otherwise. Then every reduced state rho_A commutes
-    with spin rotations of A, so each of its spin multiplets has a member
-    with S_z^A = 0 (k sites in A, k even) or 1/2 (k odd), and the top
-    eigenvalue of rho_A is the top eigenvalue of that one S_z block: the
-    Gram matrix of a C(k, k//2) x C(n-k, n/2 - k//2) block of psi, taken on
-    the smaller side. The winner's block is cross-checked by power iteration.
+    ValueError is raised otherwise; the record keeps the measured <S^2>.
+    Then every reduced state rho_A commutes with spin rotations of A, so
+    each of its spin multiplets has a member with S_z^A = 0 (k sites in A,
+    k even) or 1/2 (k odd), and the top eigenvalue of rho_A is the top
+    eigenvalue of that one S_z block: the Gram matrix of a
+    C(k, k//2) x C(n-k, n/2 - k//2) block of psi, taken on the smaller
+    side. The winner's block is cross-checked by power iteration.
 
     `symmetries` are site permutations (perm[site] = image) that map the
     state to plus or minus itself, such as `lattice.automorphisms`. Such a
@@ -259,4 +261,4 @@ def ggm(state, *, symmetries=()):
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best,
                      maximizing_bipartition=sites,
                      bipartitions_scanned=len(masks),
-                     mask=winner, tied_masks=tied)
+                     mask=winner, tied_masks=tied, total_spin_sq=spin_sq)

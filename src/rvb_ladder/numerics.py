@@ -51,15 +51,6 @@ class PolyFit:
     model: str
     mse: float  # mean of squared residuals over the fitted points
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        c = self.coefficients
-        if self.model == "linear":
-            return c[0] + c[1] * x
-        if self.model == "quadratic_no_linear_term":
-            return c[0] + c[1] * x * x
-        return c[0] + c[1] * x + c[2] * x * x
-
 
 def _design(xs, model):
     xs = np.asarray(xs, dtype=float)

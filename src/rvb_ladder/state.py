@@ -15,23 +15,6 @@ from .lattice import enumerate_coverings
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def singlet_pair(i, j, n=2):
-    """Directed singlet factor on sites (i, j) embedded in n sites.
-
-    Sites other than i and j are pinned to spin up, so for n = 2 this is the
-    bare two-site singlet. Amplitude of |up_i down_j> is +1/sqrt(2), of
-    |down_i up_j> is -1/sqrt(2).
-    """
-    if i == j:
-        raise ValueError("singlet needs two distinct sites")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"sites ({i}, {j}) out of range for n={n}")
-    psi = np.zeros(1 << n)
-    psi[1 << j] = INV_SQRT2
-    psi[1 << i] = -INV_SQRT2
-    return psi
-
-
 def site_count(psi):
     """Number of sites n of a 2^n-amplitude vector, n >= 1; else ValueError."""
     size = np.asarray(psi).size
@@ -61,18 +44,6 @@ def _covering_terms(covering, n):
     indices = np.where(flip, a_bit, b_bit).sum(axis=1)
     signs = 1 - 2 * (flip.sum(axis=1) & 1)
     return indices, signs * INV_SQRT2 ** k
-
-
-def covering_state(covering, n):
-    """Product of directed singlets over one dimer covering.
-
-    `covering` is an iterable of (a, b) pairs, a the A-site of each dimer.
-    The result has 2^(n/2) nonzero amplitudes, each +-(1/sqrt(2))^(n/2).
-    """
-    indices, amps = _covering_terms(covering, n)
-    psi = np.zeros(1 << n)
-    psi[indices] = amps
-    return psi
 
 
 def rvb_state(lattice, coverings=None):

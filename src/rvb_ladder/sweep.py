@@ -66,15 +66,12 @@ def _column_mask_info(mask, m):
 def _run_size(m, config):
     lat = lattice.build_ladder(m, config.boundary, config.odd_wrap)
     coverings = lattice.enumerate_coverings(lat)
-    if not coverings:
-        raise RuntimeError("no dimer covering exists")
     count = lattice.count_coverings(lat)
     if count != len(coverings):
         raise RuntimeError(f"covering count mismatch: permanent {count} vs enumerated {len(coverings)}")
     psi = state.rvb_state(lat, coverings)
-    spin_sq = state.total_spin_squared(psi)
-    if spin_sq > 1e-10:
-        raise RuntimeError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
+    # ggm refuses a state that is not a total singlet and reports its S^2
+    gg = measures.ggm(psi, symmetries=lattice.automorphisms(lat))
 
     fits, agg = density.edge_werner_parameters(lat, psi)
     deg3 = [s for s in lat.sites if lat.degree(s) == 3]
@@ -84,7 +81,6 @@ def _run_size(m, config):
     F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
-    gg = measures.ggm(psi, symmetries=lattice.automorphisms(lat))
     steps_inside, _ = _column_mask_info(gg.mask, m)
     aligned_mask = None
     for tied in gg.tied_masks:
@@ -94,7 +90,7 @@ def _run_size(m, config):
             break
 
     return SizeRow(m=m, n=lat.n, boundary=config.boundary, odd_wrap=config.odd_wrap,
-                   covering_count=count, total_spin_sq=spin_sq, fits=fits,
+                   covering_count=count, total_spin_sq=gg.total_spin_sq, fits=fits,
                    aggregates=agg, p_avg=p_avg, F_r=F_r, F_s=F_s, F_avg=F_avg,
                    monogamy=mono, cloning=clone, ggm=gg,
                    steps_on_a_side=steps_inside,

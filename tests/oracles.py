@@ -99,6 +99,12 @@ def loop_covering_state(covering, n):
     return psi
 
 
+def singlet_pair():
+    """The two-site singlet (|up down> - |down up>)/sqrt(2), site 0 the A site,
+    written out amplitude by amplitude (index = bit0 + 2 bit1, 1 = down)."""
+    return np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
+
+
 def loop_rvb_state(coverings, n):
     """Normalized covering sum, adding one covering state at a time."""
     psi = np.zeros(1 << n)
@@ -240,6 +246,15 @@ def singlet_combination(terms, n):
         psi += coeff * loop_covering_state(pairs, n)
     norm = np.linalg.norm(psi)
     return psi / norm if norm > 1e-6 else None
+
+
+def poly_value(fit, x):
+    """A fitted polynomial at x, summing coefficient times power of x term by
+    term from the model's list of powers."""
+    powers = {"linear": (0, 1), "quadratic_no_linear_term": (0, 2),
+              "full_quadratic": (0, 1, 2)}[fit.model]
+    x = np.asarray(x, dtype=float)
+    return sum(c * x ** p for c, p in zip(fit.coefficients, powers))
 
 
 def singular_values(matrix):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rvb_ladder import (build_ladder, edge_werner_parameters, partial_trace,
-                        regional_entanglement, rvb_state, singlet_pair,
+                        regional_entanglement, rvb_state,
                         teleportation_fidelities, werner_parameter)
 
 import oracles
@@ -45,7 +45,7 @@ def test_partial_trace_properties():
 
 
 def test_partial_trace_of_singlet_is_maximally_mixed():
-    psi = singlet_pair(0, 1, 2)
+    psi = oracles.singlet_pair()
     for site in (0, 1):
         rho = partial_trace(psi, [site])
         assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
@@ -67,7 +67,7 @@ def test_partial_trace_rejects_non_power_of_two_length():
 
 
 def test_werner_parameter_pure_singlet():
-    rho = partial_trace(singlet_pair(0, 1, 2), [0, 1])
+    rho = partial_trace(oracles.singlet_pair(), [0, 1])
     fit = werner_parameter(rho, 0, 1)
     assert abs(fit.p - 1.0) < 1e-12
     assert fit.residual < 1e-12

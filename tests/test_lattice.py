@@ -4,8 +4,9 @@ import collections
 
 import pytest
 
-from rvb_ladder import (automorphisms, build_ladder, count_coverings, describe,
-                        enumerate_coverings)
+from rvb_ladder import (Edge, LadderLattice, automorphisms, build_ladder,
+                        count_coverings, enumerate_coverings)
+from rvb_ladder.measures import MAX_SITES
 
 import oracles
 
@@ -14,12 +15,19 @@ ALL_CONFIGS = [(m, b, w)
                for b in ("open", "periodic")
                for w in ("forbid", "twist")]
 
+# every configuration the sweep accepts, N = 2m <= MAX_SITES
+SWEEP_CONFIGS = [(m, b, w)
+                 for m in range(2, MAX_SITES // 2 + 1)
+                 for b in ("open", "periodic")
+                 for w in ("forbid", "twist")]
+
 
 def test_sites_and_sublattices():
     lat = build_ladder(4, "open")
     assert lat.n == 8
-    assert lat.site(0, 2) == 2 and lat.site(1, 2) == 6
-    assert lat.row_col(6) == (1, 2)
+    # site = row * m + col: the step of column 2 joins sites 2 and 6
+    steps = sorted((min(e.a, e.b), max(e.a, e.b)) for e in lat.edges if e.kind == "step")
+    assert steps == [(0, 4), (1, 5), (2, 6), (3, 7)]
     # checkerboard: A iff row+col even
     assert lat.sublattice == ("A", "B", "A", "B", "B", "A", "B", "A")
 
@@ -57,10 +65,10 @@ def test_periodic_m4_all_allowed():
 def test_twist_wrap_crosses_rows_and_restores_bipartiteness():
     lat = build_ladder(5, "periodic", "twist")
     wraps = [e for e in lat.edges if e.kind == "rail"
-             and abs(lat.row_col(e.a)[1] - lat.row_col(e.b)[1]) > 1]
+             and abs(e.a % lat.m - e.b % lat.m) > 1]
     assert len(wraps) == 2
     for e in wraps:
-        assert lat.row_col(e.a)[0] != lat.row_col(e.b)[0]
+        assert e.a // lat.m != e.b // lat.m
     # with the twisted closure every edge joins the two sublattices
     assert all(e.dimer_allowed for e in lat.edges)
     for e in lat.edges:
@@ -130,9 +138,36 @@ def test_every_covering_is_a_perfect_matching():
 
 
 def test_count_matches_enumeration_everywhere():
-    for m, b, w in ALL_CONFIGS:
+    assert len(SWEEP_CONFIGS) == 32
+    for m, b, w in SWEEP_CONFIGS:
         lat = build_ladder(m, b, w)
         assert count_coverings(lat) == len(enumerate_coverings(lat)), (m, b, w)
+
+
+def _torus(rows, cols):
+    """rows x cols square lattice with both directions wrapped (both even)."""
+    sub = tuple("A" if (s // cols + s % cols) % 2 == 0 else "B"
+                for s in range(rows * cols))
+    edges = []
+    for s in range(rows * cols):
+        r, c = divmod(s, cols)
+        for t, kind in ((r * cols + (c + 1) % cols, "rail"),
+                        (((r + 1) % rows) * cols + c, "step")):
+            a, b = (s, t) if sub[s] == "A" else (t, s)
+            edges.append(Edge(a, b, kind, True, len(edges)))
+    return LadderLattice(m=cols, boundary="periodic", odd_wrap="forbid",
+                         n=rows * cols, sublattice=sub, edges=tuple(edges))
+
+
+def test_count_on_a_torus_that_is_not_a_ladder():
+    # the count reads only the bond matrix, so it holds off the ladder
+    lat = _torus(4, 4)
+    assert count_coverings(lat) == len(enumerate_coverings(lat)) == 272
+    # a three-site path A-B-A has unequal sublattices and no covering
+    path = LadderLattice(m=3, boundary="open", odd_wrap="forbid", n=3,
+                         sublattice=("A", "B", "A"),
+                         edges=(Edge(0, 1, "rail", True, 0), Edge(2, 1, "rail", True, 1)))
+    assert count_coverings(path) == len(enumerate_coverings(path)) == 0
 
 
 def test_expected_covering_counts():
@@ -155,22 +190,23 @@ def test_odd_periodic_forbid_coverings_equal_open():
         assert per == opn
 
 
-def test_describe_format():
-    text = describe(build_ladder(3, "periodic"))
-    lines = text.splitlines()
-    assert lines[0] == "site 0 row 0 col 0 sublattice A"
-    assert lines[4] == "site 4 row 1 col 1 sublattice A"
-    assert "edge 0 1 rail allowed" in lines
-    assert "edge 0 2 rail forbidden" in lines
-    assert "edge 0 3 step allowed" in lines
-    assert len(lines) == 6 + 9
+def test_periodic_m3_site_and_edge_table():
+    lat = build_ladder(3, "periodic")
+    # (row, col) = divmod(site, m); A iff row + col is even
+    assert divmod(0, lat.m) == (0, 0) and lat.sublattice[0] == "A"
+    assert divmod(4, lat.m) == (1, 1) and lat.sublattice[4] == "A"
+    table = [(e.a, e.b, e.kind, e.dimer_allowed) for e in lat.edges]
+    assert (0, 1, "rail", True) in table
+    assert (0, 2, "rail", False) in table
+    assert (0, 3, "step", True) in table
+    assert lat.n == 6 and len(table) == 9
 
 
 def test_degree_and_incident_edges():
     lat = build_ladder(4, "periodic")
     for s in lat.sites:
         assert lat.degree(s) == 3
-        assert len(lat.incident_edges(s)) == 3
+        assert len([e for e in lat.edges if s in (e.a, e.b)]) == 3
     lat_open = build_ladder(4, "open")
     assert lat_open.degree(0) == 2
     assert lat_open.degree(1) == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets,
                         edge_werner_parameters, ggm, measures, monogamy_check,
                         monogamy_surface_sample, partial_trace, rvb_state,
-                        singlet_pair, tangle)
+                        tangle)
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -261,9 +261,10 @@ def test_ggm_rejects_states_that_are_not_singlets():
 
 
 def test_ggm_two_site_singlet():
-    rec = ggm(singlet_pair(0, 1, 2))
+    rec = ggm(oracles.singlet_pair())
     assert rec.value == pytest.approx(0.5, abs=1e-12)
     assert rec.bipartitions_scanned == 1
+    assert abs(rec.total_spin_sq) < 1e-12
 
 
 def test_ggm_requires_normalized_state():

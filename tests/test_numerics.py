@@ -9,7 +9,7 @@ import pytest
 from rvb_ladder import (build_ladder, dominant_singular_value,
                         hermitian_eigenvalues, poly_fit, rvb_state)
 
-from oracles import bisect_boundary, singular_values
+from oracles import bisect_boundary, poly_value, singular_values
 
 
 def test_hermitian_eigenvalues_known_matrix():
@@ -123,7 +123,7 @@ def test_poly_fit_exact_linear():
     assert np.allclose(fit.coefficients, [-0.5, 2.0], atol=1e-12)
     assert fit.mse < 1e-24
     assert fit.model == "linear"
-    assert abs(fit.predict(10.0) - 19.5) < 1e-9
+    assert abs(poly_value(fit, 10.0) - 19.5) < 1e-9
 
 
 def test_poly_fit_exact_quadratic_no_linear_term():
@@ -145,7 +145,7 @@ def test_poly_fit_mse_is_mean_of_squared_residuals():
     xs = [0.0, 1.0, 2.0, 3.0]
     ys = [0.0, 1.0, 0.0, 1.0]
     fit = poly_fit(xs, ys, "linear")
-    residuals = [y - fit.predict(x) for x, y in zip(xs, ys)]
+    residuals = [y - poly_value(fit, x) for x, y in zip(xs, ys)]
     want = sum(r * r for r in residuals) / len(xs)
     assert abs(fit.mse - want) < 1e-15
     # hand-solved normal equations for this data: intercept 0.2, slope 0.2
@@ -169,7 +169,7 @@ def test_poly_fit_residuals_orthogonal_to_design():
     for model, cols in (("linear", 2), ("quadratic_no_linear_term", 2),
                         ("full_quadratic", 3)):
         fit = poly_fit(xs, ys, model)
-        resid = ys - np.asarray([fit.predict(x) for x in xs])
+        resid = ys - np.asarray([poly_value(fit, x) for x in xs])
         powers = {2: [0, 1], 3: [0, 1, 2]}[cols]
         design = np.column_stack([xs ** p for p in powers])
         if model == "quadratic_no_linear_term":

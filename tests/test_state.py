@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from rvb_ladder import (build_ladder, covering_state, dump_state,
-                        enumerate_coverings, rvb_state, singlet_pair,
-                        total_spin_squared)
-from rvb_ladder.state import site_count
+from rvb_ladder import (build_ladder, dump_state, enumerate_coverings,
+                        rvb_state, total_spin_squared)
+from rvb_ladder.state import _covering_terms, site_count
 
 import oracles
 
@@ -20,50 +19,59 @@ CONFIGS = [(m, boundary, odd_wrap) for m in range(2, 9)
            for boundary in ("open", "periodic") for odd_wrap in ("forbid", "twist")]
 
 
+def _covering_vector(covering, n):
+    """One covering's product state, scattered from its nonzero entries."""
+    indices, amps = _covering_terms(covering, n)
+    psi = np.zeros(1 << n)
+    psi[indices] = amps
+    return psi
+
+
 def test_singlet_pair_two_sites():
-    psi = singlet_pair(0, 1, 2)
+    psi = _covering_vector([(0, 1)], 2)
     # index = bit0 + 2*bit1, bit = 1 means down
     assert np.allclose(psi, [0.0, -INV_SQRT2, INV_SQRT2, 0.0])
+    assert np.allclose(oracles.singlet_pair(), [0.0, -INV_SQRT2, INV_SQRT2, 0.0])
 
 
 def test_singlet_pair_direction_flip_negates():
-    assert np.allclose(singlet_pair(1, 0, 2), -singlet_pair(0, 1, 2))
+    assert np.allclose(_covering_vector([(1, 0)], 2), -_covering_vector([(0, 1)], 2))
 
 
 def test_singlet_pair_normalized_overlap():
-    psi = singlet_pair(0, 1, 2)
+    psi = _covering_vector([(0, 1)], 2)
     assert abs(np.dot(psi, psi) - 1.0) < 1e-12
 
 
 def test_singlet_pair_rejects_equal_sites():
     with pytest.raises(ValueError):
-        singlet_pair(1, 1, 2)
+        _covering_terms([(1, 1)], 2)
 
 
 def test_covering_state_single_dimer():
-    assert np.allclose(covering_state([(0, 1)], 2), singlet_pair(0, 1, 2))
+    assert np.allclose(_covering_vector([(0, 1)], 2), oracles.singlet_pair())
 
 
 def test_covering_state_product_structure():
-    psi = covering_state([(0, 1), (2, 3)], 4)
+    psi = _covering_vector([(0, 1), (2, 3)], 4)
     nonzero = np.flatnonzero(np.abs(psi) > 1e-15)
     assert len(nonzero) == 4
     assert np.allclose(np.abs(psi[nonzero]), 0.5)
     # product of the two independent singlets
-    want = np.kron(singlet_pair(0, 1, 2), singlet_pair(0, 1, 2))
+    want = np.kron(oracles.singlet_pair(), oracles.singlet_pair())
     assert np.allclose(psi, want)
 
 
 def test_covering_state_order_independent():
-    a = covering_state([(0, 1), (2, 3)], 4)
-    b = covering_state([(2, 3), (0, 1)], 4)
+    a = _covering_vector([(0, 1), (2, 3)], 4)
+    b = _covering_vector([(2, 3), (0, 1)], 4)
     assert np.allclose(a, b)
 
 
 def test_covering_state_matches_oracle_products():
     lat = build_ladder(3, "open")
     for covering in enumerate_coverings(lat):
-        got = covering_state(covering, lat.n)
+        got = _covering_vector(covering, lat.n)
         want = oracles.oracle_state([covering], lat.n)
         assert np.allclose(got, want, atol=1e-12)
         assert got.tobytes() == oracles.loop_covering_state(covering, lat.n).tobytes()
@@ -71,9 +79,9 @@ def test_covering_state_matches_oracle_products():
 
 def test_covering_state_rejects_partial_cover():
     with pytest.raises(ValueError):
-        covering_state([(0, 1)], 4)
+        _covering_terms([(0, 1)], 4)
     with pytest.raises(ValueError):
-        covering_state([(0, 1), (1, 2)], 4)
+        _covering_terms([(0, 1), (1, 2)], 4)
 
 
 def test_rvb_state_matches_oracle_small():

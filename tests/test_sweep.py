@@ -228,10 +228,29 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
 
 
 def test_singlet_invariant_aborts_size(monkeypatch):
-    monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
+    for module in (sweep.state, sweep.measures):
+        monkeypatch.setattr(module, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
     assert report.rows == []
     assert "not a total singlet" in report.failures[0][1]
+
+
+def test_run_sweep_evaluates_total_spin_once_per_size(monkeypatch):
+    real = sweep.state.total_spin_squared
+    calls = []
+
+    def counting(psi):
+        calls.append(psi.size)
+        return real(psi)
+
+    for module in (sweep.state, sweep.measures):
+        monkeypatch.setattr(module, "total_spin_squared", counting)
+    report = run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=None))
+    assert report.failures == []
+    assert calls == [1 << 6, 1 << 8, 1 << 10]
+    for row in report.rows:
+        assert row.total_spin_sq == row.ggm.total_spin_sq == real(row.state)
+        assert row.total_spin_sq < 1e-10
 
 
 def test_count_mismatch_aborts_size(monkeypatch):
