@@ -191,14 +191,19 @@ def _permute_bits(values, perm):
 
 
 def _check_symmetry(psi, n, perm):
-    """Raise ValueError unless relabelling sites by `perm` maps psi to +-psi."""
+    """Basis index x -> gx of the relabelling of sites by `perm`.
+
+    Raises ValueError unless the relabelling maps psi to +-psi.
+    """
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of the {n} sites")
-    moved = psi[_permute_bits(np.arange(psi.size), perm)]
+    index = _permute_bits(np.arange(psi.size), perm)
+    moved = psi[index]
     err = min(np.max(np.abs(moved - psi)), np.max(np.abs(moved + psi)))
     if err > 1e-12:
         raise ValueError(f"site permutation {perm} is not a symmetry of the state: "
                          f"max |psi(gx) -+ psi(x)| = {err:.3e}")
+    return index
 
 
 def ggm(state, *, symmetries=()):
@@ -242,8 +247,7 @@ def ggm(state, *, symmetries=()):
     masks = np.arange(1, full, 2)  # bit 0 always set, complement never empty
     reps = masks.copy()
     for perm in symmetries:
-        _check_symmetry(psi, n, perm)
-        image = _permute_bits(masks, perm)
+        image = _check_symmetry(psi, n, perm)[1:full:2]  # the images of masks
         np.minimum(reps, np.where(image & 1, image, full ^ image), out=reps)
     orbits, orbit_of = np.unique(reps, return_inverse=True)
     lam2 = _sector_top_eigenvalues(psi, n, orbits)

@@ -101,6 +101,8 @@ def run_sweep(config):
     """Per-size pipeline with continue-on-failure isolation, then fits and CSVs."""
     if not config.sizes:
         raise ValueError("no sizes configured")
+    if len(set(config.sizes)) != len(config.sizes):
+        raise ValueError(f"repeated size in {config.sizes}; each size runs once")
     for m in config.sizes:
         if m < 2 or 2 * m > measures.MAX_SITES:
             raise ValueError(f"size m={m} outside the supported range "
@@ -162,6 +164,23 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_fig5(path, grid_resolution):
+    """The monogamy surface, one write per grid row (one p_r).
+
+    Same bytes as `_write_csv` on rows of floats. Both columns sample one
+    axis, so its values (the p_s of the first grid row) and the surface
+    values are each formatted once, with `_fmt`'s ".12g".
+    """
+    surface = measures.monogamy_surface_sample(grid_resolution)
+    axis = [format(v, ".12g") for v in surface[:grid_resolution, 1].tolist()]
+    values = surface[:, 2].tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("p_r,p_s,surface_value\n")
+        for i, p_r in enumerate(axis):
+            row = values[i * grid_resolution:(i + 1) * grid_resolution]
+            fh.write("".join([f"{p_r},{p_s},{v:.12g}\n" for p_s, v in zip(axis, row)]))
+
+
 def _intervals_str(intervals):
     return ";".join(f"{format(lo, '.12g')}:{format(hi, '.12g')}" for lo, hi in intervals)
 
@@ -186,9 +205,7 @@ def emit_csv(report, out_dir):
                [(r.n, r.aggregates.p_s) for r in rows])
     _write_csv(out / "fig4_p_avg.csv", ["n", "p_avg"],
                [(r.n, r.p_avg) for r in rows])
-    surface = measures.monogamy_surface_sample(cfg.surface_res)
-    _write_csv(out / "fig5_monogamy_surface.csv", ["p_r", "p_s", "surface_value"],
-               [(float(a), float(b), float(c)) for a, b, c in surface])
+    _write_fig5(out / "fig5_monogamy_surface.csv", cfg.surface_res)
     _write_csv(out / "fig6_theta_max.csv", ["n", "theta_max"],
                [(r.n, r.cloning.theta_max) for r in rows])
     _write_csv(out / "fig7_pr_vs_ps.csv", ["n", "p_s", "p_r"],

@@ -9,7 +9,8 @@ values from numpy's SVD or the full Gram matrix of every bipartition instead
 of one S_z block per symmetry orbit, the amplitude dump line by line instead
 of once per distinct value, the tangle from Wootters' concurrence instead of
 the Werner closed form, the cloning windows by grid scan and bisection
-instead of closed forms, and the monogamy surface by a scalar double loop.
+instead of closed forms, the monogamy surface by a scalar double loop, and
+its CSV one formatted line per sample row instead of one write per grid row.
 """
 
 import itertools
@@ -231,6 +232,16 @@ def loop_monogamy_surface_sample(grid_resolution):
             rows[k] = (p_r, p_s, val)
             k += 1
     return rows
+
+
+def reference_fig5_csv(surface, path):
+    """fig5 written one line per sample row: each row as a tuple of Python
+    floats, every value formatted with ".12g" (the float case of the
+    sweep's CSV cell format), one write per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("p_r,p_s,surface_value\n")
+        for row in surface:
+            fh.write(",".join(format(v, ".12g") for v in map(float, row)) + "\n")
 
 
 def singlet_combination(terms, n):

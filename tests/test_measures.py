@@ -399,6 +399,28 @@ def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypat
         assert rec.mask in seen, m
 
 
+def test_ggm_permutes_the_basis_once_per_symmetry(ladder_state, monkeypatch):
+    # the symmetry check's permuted basis index also gives the mask images
+    real = measures._permute_bits
+    calls = []
+
+    def counting(values, perm):
+        calls.append((values.size, tuple(perm)))
+        return real(values, perm)
+
+    monkeypatch.setattr(measures, "_permute_bits", counting)
+    for key in SMALL_CONFIGS:
+        lat, psi = ladder_state(*key)
+        syms = automorphisms(lat)
+        calls.clear()
+        rec = ggm(psi, symmetries=syms)
+        assert calls == [(psi.size, tuple(perm)) for perm in syms], key
+        best, tied = oracles.dense_ggm_scan(psi)
+        assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
+        assert rec.mask == tied[0], key
+        assert rec.tied_masks == tied, key
+
+
 def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkeypatch):
     # the one S_z block of each orbit representative holds the full top
     # Schmidt^2 of its split

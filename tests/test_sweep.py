@@ -150,6 +150,17 @@ def test_reruns_are_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
+def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
+    # fig5 does not depend on the ladder, so a report without rows suffices
+    for res in (2, 5, 42, 100, 257):
+        out = tmp_path / str(res)
+        sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=res)), out)
+        want = tmp_path / f"reference-{res}.csv"
+        oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
+        got = (out / "fig5_monogamy_surface.csv").read_bytes()
+        assert got == want.read_bytes(), res
+
+
 def test_dump_states_flag(tmp_path):
     out = tmp_path / "out"
     run_sweep(RunConfig(sizes=(3,), out_dir=out, dump_states=True,
@@ -271,6 +282,16 @@ def test_run_sweep_validation():
         run_sweep(RunConfig(sizes=(3,), boundary="twisted", out_dir=None))
 
 
+def test_run_sweep_rejects_repeated_sizes(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="repeated size"):
+        run_sweep(RunConfig(sizes=(3, 3, 4, 5), out_dir=out))
+    assert ran == []  # rejected with the other checks, before any size runs
+    assert not out.exists()
+
+
 def test_forbid_convention_run():
     report = run_sweep(RunConfig(sizes=(3, 4, 5, 6), odd_wrap="forbid",
                                  out_dir=None))
@@ -302,6 +323,14 @@ def test_cli_rejects_bad_surface_res_before_running(tmp_path, capsys):
     assert code == 2
     assert "surface resolution" in capsys.readouterr().err
     assert not out.exists()  # no size ran and nothing was written
+
+
+def test_cli_rejects_repeated_sizes(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["sweep", "--sizes", "3,3,4,5", "--out", str(out)])
+    assert code == 2
+    assert "repeated size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_reports_failures_with_exit_1(tmp_path, monkeypatch, capsys):
