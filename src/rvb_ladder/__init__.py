@@ -17,8 +17,7 @@ from .lattice import (Edge, LadderLattice, automorphisms, build_ladder,
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
                        monogamy_surface_sample, tangle)
-from .numerics import (PolyFit, dominant_singular_value, hermitian_eigenvalues,
-                       poly_fit)
+from .numerics import PolyFit, poly_fit
 from .state import dump_state, rvb_state, total_spin_squared
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
 
@@ -29,7 +28,7 @@ __all__ = [
     "dump_state",
     "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",
     "edge_werner_parameters", "regional_entanglement", "teleportation_fidelities",
-    "hermitian_eigenvalues", "dominant_singular_value", "PolyFit", "poly_fit",
+    "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",
     "monogamy_surface_sample", "CloningBoundRecord", "cloning_theta_sets",
     "GgmRecord", "ggm",

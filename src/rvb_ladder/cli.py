@@ -49,7 +49,7 @@ def main(argv=None):
                        surface_res=args.surface_res)
     try:
         report = run_sweep(config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad config or unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ def partial_trace(state, keep):
 class WernerFit:
     p: float
     residual: float
-    edge_kind: str = ""
     werner_ok: bool = True  # residual within WERNER_TOL
 
 
@@ -52,15 +51,13 @@ def _singlet_vector():
     return np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
 
 
-def werner_parameter(rho, a_site, b_site, kind=""):
+def werner_parameter(rho):
     """Werner parameter of a two-site marginal.
 
-    `rho` must be partial_trace(state, [a_site, b_site]) so that the A-site
-    is the least significant reduced index; the directed singlet of that
-    orientation defines the singlet fraction.
+    `rho` must be partial_trace(state, [a, b]) for the edge's A site a and
+    B site b, so that the A site is the least significant reduced index; the
+    directed singlet of that orientation defines the singlet fraction.
     """
-    if a_site == b_site:
-        raise ValueError("need two distinct sites")
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
@@ -69,8 +66,7 @@ def werner_parameter(rho, a_site, b_site, kind=""):
     p = (4.0 * F - 1.0) / 3.0
     model = p * np.outer(s, s) + (1.0 - p) / 4.0 * np.eye(4)
     residual = float(np.max(np.abs(rho - model)))
-    return WernerFit(p=p, residual=residual, edge_kind=kind,
-                     werner_ok=residual <= WERNER_TOL)
+    return WernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,7 @@ def edge_werner_parameters(lattice, state):
     """
     fits = {}
     for e in lattice.edges:
-        rho = partial_trace(state, [e.a, e.b])
-        fits[e] = werner_parameter(rho, e.a, e.b, kind=e.kind)
+        fits[e] = werner_parameter(partial_trace(state, [e.a, e.b]))
     rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
     step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
     agg = EdgeAggregates(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .state import site_count, total_spin_squared
 
 _P_EPS = 1e-12
@@ -174,7 +173,7 @@ def _sector_top_eigenvalues(psi, n, masks):
             chunk = group[start:start + step]
             blocks = _sector_blocks(psi, n, masks[chunk])
             gram = blocks @ blocks.conj().swapaxes(1, 2)
-            top[chunk] = numerics.hermitian_eigenvalues(gram)[:, 0]
+            top[chunk] = np.linalg.eigvalsh(gram)[:, -1]
     return top
 
 
@@ -220,7 +219,7 @@ def ggm(state, *, symmetries=()):
     k even) or 1/2 (k odd), and the top eigenvalue of rho_A is the top
     eigenvalue of that one S_z block: the Gram matrix of a
     C(k, k//2) x C(n-k, n/2 - k//2) block of psi, taken on the smaller
-    side. The winner's block is cross-checked by power iteration.
+    side.
 
     `symmetries` are site permutations (perm[site] = image) that map the
     state to plus or minus itself, such as `lattice.automorphisms`. Such a
@@ -253,16 +252,8 @@ def ggm(state, *, symmetries=()):
     lam2 = _sector_top_eigenvalues(psi, n, orbits)
     best = float(lam2.max())
     tied = tuple(masks[best - lam2[orbit_of] <= _TIE_TOL].tolist())
-    winner = tied[0]  # the smallest mask of its orbit, so one computed above
-
-    # cross-check the winner with the iterative kernel
-    block = _sector_blocks(psi, n, np.array([winner]))[0]
-    sigma = numerics.dominant_singular_value(block)
-    if abs(sigma * sigma - best) > 1e-9:
-        raise RuntimeError(f"power-iteration cross-check failed: {sigma**2} vs {best}")
-
-    sites = tuple(k for k in range(n) if (winner >> k) & 1)
+    sites = tuple(k for k in range(n) if (tied[0] >> k) & 1)
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best,
                      maximizing_bipartition=sites,
                      bipartitions_scanned=len(masks),
-                     mask=winner, tied_masks=tied, total_spin_sq=spin_sq)
+                     mask=tied[0], tied_masks=tied, total_spin_sq=spin_sq)

@@ -1,48 +1,10 @@
-"""Small dense numeric kernels shared by the analysis modules."""
+"""Normal-equations polynomial fits for the figure captions."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 FIT_MODELS = ("linear", "quadratic_no_linear_term", "full_quadratic")
-
-
-def hermitian_eigenvalues(matrix):
-    """Eigenvalues of a Hermitian matrix, or of each of a (..., d, d) stack,
-    descending along the last axis. Every matrix is checked to be Hermitian."""
-    mat = np.asarray(matrix)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"need a square matrix or a stack of them, got {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > 1e-10:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(mat)[..., ::-1]
-
-
-def dominant_singular_value(matrix, tol=1e-12, max_iter=1000):
-    """Largest singular value by power iteration on A^H A.
-
-    Deterministic start vector; independent of the full-decomposition route,
-    used as a cross-check on Schmidt maximizations.
-    """
-    mat = np.asarray(matrix).astype(complex)
-    rows, cols = mat.shape
-    # seeded start: reproducible, and structured states (e.g. singlet products,
-    # whose slices sum to zero) cannot be orthogonal to it by symmetry
-    rng = np.random.default_rng(1905)
-    v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = mat.conj().T @ (mat @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        cur = float(np.real(v.conj() @ (mat.conj().T @ (mat @ v))))
-        if abs(cur - prev) <= tol * max(1.0, cur):
-            break
-        prev = cur
-    return float(np.sqrt(max(cur, 0.0)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ class SizeRow:
     cloning: measures.CloningBoundRecord
     ggm: measures.GgmRecord
     steps_on_a_side: int
-    column_aligned_tied_mask: object  # int, or None if no tied split is column-aligned
     lattice: object
     state: object
 
@@ -49,18 +48,9 @@ class EntanglementReport:
     fits: dict = field(default_factory=dict)
 
 
-def _column_mask_info(mask, m):
-    """(#whole columns inside the mask side, is the mask a union of whole columns)."""
-    inside = 0
-    aligned = True
-    for c in range(m):
-        top = (mask >> c) & 1
-        bot = (mask >> (c + m)) & 1
-        if top and bot:
-            inside += 1
-        elif top != bot:
-            aligned = False
-    return inside, aligned
+def _whole_columns(mask, m):
+    """Number of columns with both of their sites on the mask's side."""
+    return sum((mask >> c) & (mask >> (c + m)) & 1 for c in range(m))
 
 
 def _run_size(m, config):
@@ -81,20 +71,12 @@ def _run_size(m, config):
     F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
-    steps_inside, _ = _column_mask_info(gg.mask, m)
-    aligned_mask = None
-    for tied in gg.tied_masks:
-        _, ok = _column_mask_info(tied, m)
-        if ok:
-            aligned_mask = tied
-            break
 
     return SizeRow(m=m, n=lat.n, boundary=config.boundary, odd_wrap=config.odd_wrap,
                    covering_count=count, total_spin_sq=gg.total_spin_sq, fits=fits,
                    aggregates=agg, p_avg=p_avg, F_r=F_r, F_s=F_s, F_avg=F_avg,
                    monogamy=mono, cloning=clone, ggm=gg,
-                   steps_on_a_side=steps_inside,
-                   column_aligned_tied_mask=aligned_mask, lattice=lat, state=psi)
+                   steps_on_a_side=_whole_columns(gg.mask, m), lattice=lat, state=psi)
 
 
 def run_sweep(config):
@@ -113,6 +95,8 @@ def run_sweep(config):
         raise ValueError(f"bad odd_wrap {config.odd_wrap!r}")
     if config.surface_res < 2:
         raise ValueError(f"surface resolution {config.surface_res} < 2")
+    if config.out_dir is not None:
+        _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
     report = EntanglementReport(config=config)
     for m in sorted(config.sizes):
@@ -181,6 +165,14 @@ def _write_fig5(path, grid_resolution):
             fh.write("".join([f"{p_r},{p_s},{v:.12g}\n" for p_s, v in zip(axis, row)]))
 
 
+def _output_dirs(out_dir):
+    """Create `out_dir` and its detail/ subdirectory; return both paths."""
+    out = Path(out_dir)
+    detail = out / "detail"
+    detail.mkdir(parents=True, exist_ok=True)
+    return out, detail
+
+
 def _intervals_str(intervals):
     return ";".join(f"{format(lo, '.12g')}:{format(hi, '.12g')}" for lo, hi in intervals)
 
@@ -192,10 +184,7 @@ def emit_csv(report, out_dir):
     and the fit summary go to `out_dir`/detail. Deterministic bytes for a
     given report (12 significant digits everywhere).
     """
-    out = Path(out_dir)
-    detail = out / "detail"
-    out.mkdir(parents=True, exist_ok=True)
-    detail.mkdir(parents=True, exist_ok=True)
+    out, detail = _output_dirs(out_dir)
     rows = sorted(report.rows, key=lambda r: r.n)
     cfg = report.config
 

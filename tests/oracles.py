@@ -5,12 +5,13 @@ code: coverings come from subset enumeration instead of backtracking, state
 amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 marginals from explicit index loops instead of reshape/transpose, Schmidt
-values from numpy's SVD or the full Gram matrix of every bipartition instead
-of one S_z block per symmetry orbit, the amplitude dump line by line instead
-of once per distinct value, the tangle from Wootters' concurrence instead of
-the Werner closed form, the cloning windows by grid scan and bisection
-instead of closed forms, the monogamy surface by a scalar double loop, and
-its CSV one formatted line per sample row instead of one write per grid row.
+values from numpy's SVD, power iteration or the full Gram matrix of every
+bipartition instead of one S_z block per symmetry orbit, the amplitude dump
+line by line instead of once per distinct value, the tangle from Wootters'
+concurrence instead of the Werner closed form, the cloning windows by grid
+scan and bisection instead of closed forms, the monogamy surface by a scalar
+double loop, and its CSV one formatted line per sample row instead of one
+write per grid row.
 """
 
 import itertools
@@ -179,9 +180,9 @@ def oracle_werner_p(rho):
     return (4.0 * F - 1.0) / 3.0
 
 
-def oracle_schmidt_sq_max(psi, mask):
-    """Top squared Schmidt coefficient across `mask` | rest, via numpy SVD
-    of a matrix assembled bit by bit from every basis index."""
+def oracle_bipartition_matrix(psi, mask):
+    """psi as a (2^|mask|, 2^(n - |mask|)) matrix across `mask` | rest,
+    assembled bit by bit from every basis index."""
     psi = np.asarray(psi)
     n = psi.size.bit_length() - 1
     side = [s for s in range(n) if (mask >> s) & 1]
@@ -191,8 +192,53 @@ def oracle_schmidt_sq_max(psi, mask):
     c = sum(((idx >> s) & 1) << t for t, s in enumerate(rest))
     mat = np.zeros((1 << len(side), 1 << len(rest)), dtype=psi.dtype)
     mat[r, c] = psi
-    top = np.linalg.svd(mat, compute_uv=False)[0]
+    return mat
+
+
+def oracle_schmidt_sq_max(psi, mask):
+    """Top squared Schmidt coefficient across `mask` | rest, via numpy SVD
+    of the bit-by-bit bipartition matrix."""
+    top = np.linalg.svd(oracle_bipartition_matrix(psi, mask), compute_uv=False)[0]
     return float(top * top)
+
+
+def dominant_singular_value(matrix):
+    """Largest singular value by power iteration on A^H A, from a seeded
+    random start, until the Rayleigh quotient moves by at most 1e-12
+    relative (1000 steps at most)."""
+    mat = np.asarray(matrix).astype(complex)
+    # seeded start: reproducible, and structured states (e.g. singlet products,
+    # whose slices sum to zero) cannot be orthogonal to it by symmetry
+    rng = np.random.default_rng(1905)
+    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
+    v /= np.linalg.norm(v)
+    prev = 0.0
+    for _ in range(1000):
+        w = mat.conj().T @ (mat @ v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        cur = float(np.real(v.conj() @ (mat.conj().T @ (mat @ v))))
+        if abs(cur - prev) <= 1e-12 * max(1.0, cur):
+            break
+        prev = cur
+    return float(np.sqrt(max(cur, 0.0)))
+
+
+def power_iteration_schmidt_sq(psi, mask):
+    """Top squared Schmidt coefficient across `mask` | rest by power
+    iteration on the full bit-by-bit bipartition matrix."""
+    return dominant_singular_value(oracle_bipartition_matrix(psi, mask)) ** 2
+
+
+def column_aligned_tied_mask(tied_masks, m):
+    """The first of `tied_masks` that keeps both sites of every column of an
+    m-rung ladder on one side, or None."""
+    for mask in tied_masks:
+        if all((mask >> c) & 1 == (mask >> (c + m)) & 1 for c in range(m)):
+            return mask
+    return None
 
 
 def dense_schmidt_sq_max(psi, mask):

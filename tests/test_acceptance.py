@@ -222,7 +222,7 @@ def test_criterion_8_ggm_split_structure(paper_run):
     report, _ = paper_run
     problems = []
     for row in report.rows:
-        mask = row.column_aligned_tied_mask
+        mask = oracles.column_aligned_tied_mask(row.ggm.tied_masks, row.m)
         if mask is None:
             problems.append(f"n={row.n}: no maximizing bipartition splits along columns")
             continue

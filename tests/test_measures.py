@@ -346,10 +346,8 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
     for m, b, w in oracles.PAPER_SIZES:
         _, psi = ladder_state(m, b, w)
         rec = ggm(psi)
-        def is_column_aligned(mask):
-            return all(((mask >> c) & 1) == ((mask >> (c + m)) & 1)
-                       for c in range(m))
-        assert any(is_column_aligned(t) for t in rec.tied_masks), (m, b, w)
+        aligned = oracles.column_aligned_tied_mask(rec.tied_masks, m)
+        assert aligned is not None, (m, b, w)
 
 
 # the orbit route computes each Schmidt value from one S_z block at one mask
@@ -377,6 +375,9 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
             assert rec.bipartitions_scanned == (1 << (n - 1)) - 1, key
             assert rec.maximizing_bipartition == tuple(
                 k for k in range(n) if (tied[0] >> k) & 1), key
+            # power iteration on the winner's full bipartition matrix
+            lam2 = oracles.power_iteration_schmidt_sq(psi, rec.mask)
+            assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
 
 
 def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):

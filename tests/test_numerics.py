@@ -1,62 +1,15 @@
-"""Numeric kernels: eigenvalues, power iteration, polynomial fits; the SVD
-and bisection reference routes of the test oracles."""
+"""Polynomial fits; the SVD, power-iteration and bisection reference routes
+of the test oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (build_ladder, dominant_singular_value,
-                        hermitian_eigenvalues, poly_fit, rvb_state)
+from rvb_ladder import build_ladder, poly_fit, rvb_state
 
-from oracles import bisect_boundary, poly_value, singular_values
-
-
-def test_hermitian_eigenvalues_known_matrix():
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(hermitian_eigenvalues(mat), [3.0, 1.0])
-
-
-def test_hermitian_eigenvalues_complex():
-    mat = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-    assert np.allclose(hermitian_eigenvalues(mat), [2.0, 0.0])
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eigenvalue_sum_is_trace():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    mat = (a + a.conj().T) / 2.0
-    eigs = hermitian_eigenvalues(mat)
-    assert abs(sum(eigs) - np.trace(mat).real) < 1e-10
-    assert list(eigs) == sorted(eigs, reverse=True)
-
-
-def test_hermitian_eigenvalues_of_a_stack():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
-    stack = a + a.conj().swapaxes(-1, -2)
-    eigs = hermitian_eigenvalues(stack)
-    assert eigs.shape == (3, 2, 4)
-    for i in range(3):
-        for j in range(2):
-            assert np.allclose(eigs[i, j], hermitian_eigenvalues(stack[i, j]))
-            assert np.all(np.diff(eigs[i, j]) <= 0.0)
-
-
-def test_hermitian_eigenvalues_checks_every_matrix_of_a_stack():
-    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
-    stack[2, 0, 1] = 1.0  # only the last matrix is not Hermitian
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigenvalues(stack)
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eigenvalues(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eigenvalues(np.zeros(3))
+from oracles import (bisect_boundary, dominant_singular_value, poly_value,
+                     singular_values)
 
 
 def test_singular_values_known_matrix():
@@ -68,7 +21,7 @@ def test_singular_values_match_gram_eigenvalues():
     rng = np.random.default_rng(23)
     mat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     sv = singular_values(mat)
-    gram_eigs = hermitian_eigenvalues(mat @ mat.conj().T)
+    gram_eigs = np.linalg.eigvalsh(mat @ mat.conj().T)[::-1]
     assert np.allclose(sv, np.sqrt(np.clip(gram_eigs, 0.0, None)), atol=1e-9)
 
 

@@ -34,7 +34,7 @@ def test_rows_sorted_and_complete(twist_report):
         assert row.cloning.theta_max == pytest.approx(exp["theta"], abs=2e-9)
         assert row.monogamy.satisfied
         assert row.total_spin_sq < 1e-10
-        assert row.column_aligned_tied_mask is not None
+        assert oracles.column_aligned_tied_mask(row.ggm.tied_masks, row.m) is not None
 
 
 def test_fidelities_consistent(twist_report):
@@ -150,6 +150,55 @@ def test_reruns_are_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
+# the figure CSVs of `rvb-ladder sweep` at its defaults (m = 3..6, periodic,
+# twisted); fig5 is pinned against oracles.reference_fig5_csv instead
+DEFAULT_SWEEP_FIGURES = {
+    "fig2_p_rail.csv": (
+        "n,p_r\n"
+        "6,0.555555555556\n"
+        "8,0.52380952381\n"
+        "10,0.442786069652\n"
+        "12,0.418604651163\n"),
+    "fig3_p_step.csv": (
+        "n,p_s\n"
+        "6,0.555555555556\n"
+        "8,0.52380952381\n"
+        "10,0.641791044776\n"
+        "12,0.666666666667\n"),
+    "fig4_p_avg.csv": (
+        "n,p_avg\n"
+        "6,0.555555555556\n"
+        "8,0.52380952381\n"
+        "10,0.50912106136\n"
+        "12,0.501291989664\n"),
+    "fig6_theta_max.csv": (
+        "n,theta_max\n"
+        "6,0.61547970867\n"
+        "8,0.640522312679\n"
+        "10,0.544886529386\n"
+        "12,0.523598775598\n"),
+    "fig7_pr_vs_ps.csv": (
+        "n,p_s,p_r\n"
+        "6,0.555555555556,0.555555555556\n"
+        "8,0.52380952381,0.52380952381\n"
+        "10,0.641791044776,0.442786069652\n"
+        "12,0.666666666667,0.418604651163\n"),
+    "fig8_ggm.csv": (
+        "n,ggm\n"
+        "6,0.333333333333\n"
+        "8,0.28373015873\n"
+        "10,0.24893097169\n"
+        "12,0.225555700263\n"),
+}
+
+
+def test_default_sweep_figure_bytes(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    for name, text in DEFAULT_SWEEP_FIGURES.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
 def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
     # fig5 does not depend on the ladder, so a report without rows suffices
     for res in (2, 5, 42, 100, 257):
@@ -207,6 +256,8 @@ def test_sixteen_site_ladder_runs():
     assert row.ggm.value == pytest.approx(0.201463220623, abs=1e-11)
     assert row.ggm.mask == 0x303
     assert row.ggm.bipartitions_scanned == (1 << 15) - 1
+    lam2 = oracles.power_iteration_schmidt_sq(row.state, row.ggm.mask)
+    assert abs(lam2 - row.ggm.max_schmidt_sq) <= 1e-9
 
 
 def test_eighteen_site_ladder_runs():
@@ -219,6 +270,8 @@ def test_eighteen_site_ladder_runs():
     assert row.ggm.value == pytest.approx(0.197128563063, abs=1e-11)
     assert row.ggm.mask == 0x603
     assert row.ggm.bipartitions_scanned == (1 << 17) - 1
+    lam2 = oracles.power_iteration_schmidt_sq(row.state, row.ggm.mask)
+    assert abs(lam2 - row.ggm.max_schmidt_sq) <= 1e-9
 
 
 def test_run_size_enumerates_the_coverings_once(monkeypatch):
@@ -290,6 +343,30 @@ def test_run_sweep_rejects_repeated_sizes(tmp_path, monkeypatch):
         run_sweep(RunConfig(sizes=(3, 3, 4, 5), out_dir=out))
     assert ran == []  # rejected with the other checks, before any size runs
     assert not out.exists()
+
+
+def _unusable_out_dirs(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    return taken, taken / "below"
+
+
+def test_run_sweep_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    for out in _unusable_out_dirs(tmp_path):
+        with pytest.raises(OSError):
+            run_sweep(RunConfig(sizes=(3,), out_dir=out))
+    assert ran == []
+
+
+def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    for out in _unusable_out_dirs(tmp_path):
+        assert cli.main(["sweep", "--sizes", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
 
 
 def test_forbid_convention_run():
