@@ -205,6 +205,31 @@ def _check_symmetry(psi, n, perm):
     return index
 
 
+def _orbit_labels(psi, n, symmetries):
+    """Position (mask >> 1) of the smallest odd mask in the orbit of each odd
+    mask under the group `symmetries` generate, each checked against psi.
+
+    A move sends a position to that of the permuted split, complemented when
+    site 0 left its side. Each round lowers every label to the label at its
+    image under each move, then jumps it to its own label's label; labels
+    only fall and stay inside their orbit, and at the fixpoint each is the
+    orbit's smallest position (docs/decisions.md).
+    """
+    full = (1 << n) - 1
+    moves = []
+    for perm in symmetries:
+        image = _check_symmetry(psi, n, perm)[1:full:2]  # the images of the masks
+        moves.append((np.where(image & 1, image, full ^ image) >> 1).astype(np.int32))
+    label = np.arange(full >> 1, dtype=np.int32)
+    while True:
+        prev = label
+        for move in moves:
+            label = np.minimum(label, label[move])
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
+
+
 def ggm(state, *, symmetries=()):
     """Generalized geometric measure over all 2^(n-1) - 1 bipartitions.
 
@@ -222,12 +247,15 @@ def ggm(state, *, symmetries=()):
     side.
 
     `symmetries` are site permutations (perm[site] = image) that map the
-    state to plus or minus itself, such as `lattice.automorphisms`. Such a
-    relabelling carries each bipartition to one with the same Schmidt
-    spectrum, so the Schmidt coefficient is computed once per orbit, at its
-    smallest mask (an image without site 0 is replaced by its complement),
-    and shared by the orbit. Every permutation is checked against the state
-    first, to 1e-12, and one that fails raises ValueError. The record does
+    state to plus or minus itself and generate a group of such maps, such
+    as `lattice.automorphism_generators`; the whole group is valid too.
+    Such a relabelling carries each bipartition to one with the same
+    Schmidt spectrum, so the Schmidt coefficient is computed once per orbit
+    of the generated group, at its smallest mask (an image without site 0
+    is replaced by its complement), and shared by the orbit. Every
+    permutation is checked against the state first, to 1e-12, and one that
+    fails raises ValueError. The orbits are labelled by min-label
+    propagation along the permutations (`_orbit_labels`). The record does
     not depend on `symmetries`: `bipartitions_scanned` counts every
     bipartition covered and `tied_masks` lists every tied mask, so the
     default (no symmetry, one orbit per mask) is the full scan.
@@ -242,13 +270,9 @@ def ggm(state, *, symmetries=()):
     if spin_sq > _SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
 
-    full = (1 << n) - 1
-    masks = np.arange(1, full, 2)  # bit 0 always set, complement never empty
-    reps = masks.copy()
-    for perm in symmetries:
-        image = _check_symmetry(psi, n, perm)[1:full:2]  # the images of masks
-        np.minimum(reps, np.where(image & 1, image, full ^ image), out=reps)
-    orbits, orbit_of = np.unique(reps, return_inverse=True)
+    masks = np.arange(1, (1 << n) - 1, 2)  # bit 0 always set, complement never empty
+    orbits, orbit_of = np.unique(masks[_orbit_labels(psi, n, symmetries)],
+                                 return_inverse=True)
     lam2 = _sector_top_eigenvalues(psi, n, orbits)
     best = float(lam2.max())
     tied = tuple(masks[best - lam2[orbit_of] <= _TIE_TOL].tolist())

@@ -7,11 +7,12 @@ one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 marginals from explicit index loops instead of reshape/transpose, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
 bipartition instead of one S_z block per symmetry orbit, the amplitude dump
-line by line instead of once per distinct value, the tangle from Wootters'
-concurrence instead of the Werner closed form, the cloning windows by grid
-scan and bisection instead of closed forms, the monogamy surface by a scalar
-double loop, and its CSV one formatted line per sample row instead of one
-write per grid row.
+line by line instead of once per distinct value, the lattice symmetry group
+by full enumeration instead of a stabilizer chain of generators, the tangle
+from Wootters' concurrence instead of the Werner closed form, the cloning
+windows by grid scan and bisection instead of closed forms, the monogamy
+surface by a scalar double loop, and its CSV one formatted line per sample
+row instead of one write per grid row.
 """
 
 import itertools
@@ -52,6 +53,65 @@ def brute_force_coverings(n, edges):
             # different edge subsets; keep every one, as enumeration does
             found.append(tuple(sorted(pairs[k] for k in combo)))
     return sorted(found)
+
+
+def automorphisms(lattice):
+    """All site permutations preserving the multiset of dimer-allowed edges.
+
+    Each is a tuple `perm` with `perm[site]` the image of `site`; the
+    identity comes first and the order is deterministic. The whole group by
+    backtracking over sites in order, checking each new image against the
+    multiplicity of every pair already placed, where the package keeps only
+    a stabilizer chain of generators.
+    """
+    n = lattice.n
+    mult = [[0] * n for _ in range(n)]
+    for e in lattice.edges:
+        if e.dimer_allowed:
+            mult[e.a][e.b] += 1
+            mult[e.b][e.a] += 1
+    degree = [sum(row) for row in mult]
+    # an earlier neighbour of each site, whose image's neighbours are then
+    # the only candidates for the site's own image
+    anchor = [next((t for t in range(s) if mult[s][t]), None) for s in range(n)]
+
+    out = []
+    image = []
+    used = [False] * n
+
+    def extend():
+        s = len(image)
+        if s == n:
+            out.append(tuple(image))
+            return
+        a = anchor[s]
+        candidates = range(n) if a is None else [g for g in range(n) if mult[image[a]][g]]
+        for g in candidates:
+            if used[g] or degree[g] != degree[s]:
+                continue
+            if any(mult[s][t] != mult[g][image[t]] for t in range(s)):
+                continue
+            used[g] = True
+            image.append(g)
+            extend()
+            image.pop()
+            used[g] = False
+
+    extend()
+    return tuple(out)
+
+
+def group_closure(generators, n):
+    """Every product of `generators` (site permutations of n sites), as a set
+    of tuples, the identity included; breadth-first over compositions."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [tuple(g[h[s]] for s in range(n))
+                    for h in frontier for g in generators]
+        frontier = list(set(frontier) - group)
+        group.update(frontier)
+    return group
 
 
 def oracle_state(coverings, n):

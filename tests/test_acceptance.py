@@ -7,8 +7,8 @@ asserted only at sizes where rails and steps are distinct bonds. At N = 6
 (the twisted ring is K3,3) and N = 8 (the periodic ladder is the cube) a
 symmetry of the lattice maps a step onto a rail, so every correct program
 gives p_s = p_r there and the trends cannot hold across those sizes. Such
-sizes are found from `automorphisms`, not listed by hand, and at each of them
-the suite asserts p_s = p_r instead. The trends run over the remaining sizes
+sizes are found from the lattice group (`oracles.automorphisms`), not
+listed by hand, and at each of them the suite asserts p_s = p_r instead. The trends run over the remaining sizes
 of the paper sweep and of an extended N = 10..16 sweep. The analysis is in
 docs/decisions.md.
 """
@@ -19,10 +19,10 @@ import time
 import numpy as np
 import pytest
 
-from rvb_ladder import (RunConfig, automorphisms, build_ladder,
-                        count_coverings, edge_werner_parameters,
-                        enumerate_coverings, ggm, partial_trace, poly_fit,
-                        run_sweep, rvb_state, total_spin_squared)
+from rvb_ladder import (RunConfig, build_ladder, count_coverings,
+                        edge_werner_parameters, enumerate_coverings, ggm,
+                        partial_trace, poly_fit, run_sweep, rvb_state,
+                        total_spin_squared)
 
 import oracles
 
@@ -53,7 +53,7 @@ def _rails_equal_steps(lattice):
     rails = {frozenset((e.a, e.b)) for e in lattice.edges if e.kind == "rail"}
     steps = [e for e in lattice.edges if e.kind == "step" and e.dimer_allowed]
     return any(frozenset((g[e.a], g[e.b])) in rails
-               for g in automorphisms(lattice) for e in steps)
+               for g in oracles.automorphisms(lattice) for e in steps)
 
 
 def _split_by_geometry(*reports):

@@ -1,11 +1,12 @@
 """Lattice construction, covering enumeration, and the independent count."""
 
 import collections
+import math
 
 import pytest
 
-from rvb_ladder import (Edge, LadderLattice, automorphisms, build_ladder,
-                        count_coverings, enumerate_coverings)
+from rvb_ladder import (Edge, LadderLattice, automorphism_generators,
+                        build_ladder, count_coverings, enumerate_coverings)
 from rvb_ladder.measures import MAX_SITES
 
 import oracles
@@ -222,7 +223,7 @@ def test_automorphisms_preserve_allowed_edges():
     for m in range(2, 9):
         for b, w in (("open", "forbid"), ("periodic", "forbid"), ("periodic", "twist")):
             lat = build_ladder(m, b, w)
-            group = automorphisms(lat)
+            group = oracles.automorphisms(lat)
             assert group[0] == tuple(lat.sites), (m, b, w)
             assert len(set(group)) == len(group)
             edges = _allowed_edge_multiset(lat)
@@ -231,13 +232,47 @@ def test_automorphisms_preserve_allowed_edges():
                 assert _allowed_edge_multiset(lat, perm) == edges, (m, b, w, perm)
 
 
+def _group_order(lat):
+    """Order of the group, from the oracle's enumeration and from the closure
+    of the generators, which must agree."""
+    order = len(oracles.automorphisms(lat))
+    assert len(oracles.group_closure(automorphism_generators(lat), lat.n)) == order
+    return order
+
+
 def test_automorphism_group_orders():
-    assert len(automorphisms(build_ladder(2, "open"))) == 8  # the 4-cycle
-    assert len(automorphisms(build_ladder(3, "periodic", "twist"))) == 72  # K_3,3
-    assert len(automorphisms(build_ladder(4, "periodic"))) == 48  # the cube
+    assert _group_order(build_ladder(2, "open")) == 8  # the 4-cycle
+    assert _group_order(build_ladder(3, "periodic", "twist")) == 72  # K_3,3
+    assert _group_order(build_ladder(4, "periodic")) == 48  # the cube
     for m in range(5, 9):
         # prism (even m) or Moebius ladder (odd m): rotations, reflections, leg swap
-        assert len(automorphisms(build_ladder(m, "periodic", "twist"))) == 4 * m
+        assert _group_order(build_ladder(m, "periodic", "twist")) == 4 * m
     for m in range(3, 9):
         # leg swap and left-right reflection
-        assert len(automorphisms(build_ladder(m, "open"))) == 4
+        assert _group_order(build_ladder(m, "open")) == 4
+
+
+def _basic_orbit_sizes(gens, n):
+    """Size of the orbit of site i under the generators that fix sites
+    0..i-1, for every level i of the stabilizer chain."""
+    sizes = []
+    for i in range(n):
+        level = [g for g in gens if g[:i] == tuple(range(i))]
+        orbit = {g[i] for g in oracles.group_closure(level, n)}
+        sizes.append(len(orbit))
+    return sizes
+
+
+@pytest.mark.parametrize("m, b, w", SWEEP_CONFIGS)
+def test_automorphism_generators_generate_the_group(m, b, w):
+    lat = build_ladder(m, b, w)
+    gens = automorphism_generators(lat)
+    assert len(gens) <= 4
+    edges = _allowed_edge_multiset(lat)
+    for perm in gens:
+        assert sorted(perm) == list(lat.sites)
+        assert _allowed_edge_multiset(lat, perm) == edges, perm
+    group = oracles.group_closure(gens, lat.n)
+    assert group == set(oracles.automorphisms(lat))
+    # the group order is the product of the basic orbit sizes
+    assert math.prod(_basic_orbit_sizes(gens, lat.n)) == len(group)

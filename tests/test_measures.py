@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rvb_ladder import (automorphisms, build_ladder, cloning_theta_sets,
-                        edge_werner_parameters, ggm, measures, monogamy_check,
-                        monogamy_surface_sample, partial_trace, rvb_state,
-                        tangle)
+from rvb_ladder import (automorphism_generators, build_ladder,
+                        cloning_theta_sets, edge_werner_parameters, ggm,
+                        measures, monogamy_check, monogamy_surface_sample,
+                        partial_trace, rvb_state, tangle)
+from rvb_ladder.cli import main
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -358,7 +359,11 @@ SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
 # every (m, boundary, odd_wrap) with N <= 12
 SMALL_CONFIGS = [(m, b, w) for m in range(2, 7)
                  for b in ("open", "periodic") for w in ("forbid", "twist")]
-SYMMETRY_CONFIGS = SMALL_CONFIGS + [(7, "periodic", "twist")]
+# periodic N = 14 and 16 (even m has one periodic lattice)
+LARGE_PERIODIC_CONFIGS = [(7, "periodic", "forbid"), (7, "periodic", "twist"),
+                          (8, "periodic", "forbid")]
+# the dense scan would take about 30 s at N = 16, so it stops at N = 14
+SYMMETRY_CONFIGS = SMALL_CONFIGS + LARGE_PERIODIC_CONFIGS[:2]
 
 
 def test_ggm_symmetry_route_matches_full_scan(ladder_state):
@@ -366,7 +371,7 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
         lat, psi = ladder_state(*key)
         best, tied = oracles.dense_ggm_scan(psi)
         full = ggm(psi)
-        reduced = ggm(psi, symmetries=automorphisms(lat))
+        reduced = ggm(psi, symmetries=automorphism_generators(lat))
         n = lat.n
         for rec in (full, reduced):
             assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
@@ -378,6 +383,52 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
             # power iteration on the winner's full bipartition matrix
             lam2 = oracles.power_iteration_schmidt_sq(psi, rec.mask)
             assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
+
+
+@pytest.mark.parametrize("key", SMALL_CONFIGS + LARGE_PERIODIC_CONFIGS)
+def test_ggm_generators_give_the_whole_group_record(ladder_state, key):
+    # the generators' orbits are the group's, so the same representatives
+    # reach the eigensolves and every field agrees exactly
+    lat, psi = ladder_state(*key)
+    gens = automorphism_generators(lat)
+    assert ggm(psi, symmetries=gens) == ggm(psi, symmetries=oracles.automorphisms(lat))
+
+
+def _orbit_minima(group, n):
+    """The smallest odd mask of each orbit of bipartitions under `group`."""
+    full = (1 << n) - 1
+    minima = set()
+    for mask in range(1, full, 2):
+        images = []
+        for g in group:
+            image = sum(1 << g[k] for k in range(n) if (mask >> k) & 1)
+            images.append(image if image & 1 else full ^ image)
+        minima.add(min(images))
+    return minima
+
+
+def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch):
+    # the translation alone generates the rotations only, and the labels must
+    # still reach the smallest mask of each orbit of that cyclic group
+    m = 6
+    lat, psi = ladder_state(m, "periodic", "twist")
+    shift = tuple(r * m + (c + 1) % m for r in range(2) for c in range(m))
+    real = measures._sector_top_eigenvalues
+    seen = []
+
+    def recording(psi, n, masks):
+        seen.extend(masks.tolist())
+        return real(psi, n, masks)
+
+    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    rec = ggm(psi, symmetries=[shift])
+    assert set(seen) == _orbit_minima(oracles.group_closure([shift], lat.n), lat.n)
+    assert len(seen) == len(set(seen))
+    best, tied = oracles.dense_ggm_scan(psi)
+    assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL
+    assert rec.mask == tied[0]
+    assert rec.tied_masks == tied
+    assert rec.bipartitions_scanned == (1 << (lat.n - 1)) - 1
 
 
 def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):
@@ -394,7 +445,7 @@ def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypat
     for m, count in orbit_counts.items():
         lat, psi = ladder_state(m, "periodic", "twist")
         seen.clear()
-        rec = ggm(psi, symmetries=automorphisms(lat))
+        rec = ggm(psi, symmetries=automorphism_generators(lat))
         assert len(seen) == len(set(seen)) == count, m
         assert all(mask & 1 for mask in seen), m
         assert rec.mask in seen, m
@@ -412,7 +463,7 @@ def test_ggm_permutes_the_basis_once_per_symmetry(ladder_state, monkeypatch):
     monkeypatch.setattr(measures, "_permute_bits", counting)
     for key in SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
-        syms = automorphisms(lat)
+        syms = oracles.automorphisms(lat)
         calls.clear()
         rec = ggm(psi, symmetries=syms)
         assert calls == [(psi.size, tuple(perm)) for perm in syms], key
@@ -437,7 +488,7 @@ def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkey
     for key in SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         calls.clear()
-        ggm(psi, symmetries=automorphisms(lat))
+        ggm(psi, symmetries=automorphism_generators(lat))
         ((masks, top),) = calls
         for mask, lam2 in zip(masks, top):
             want = oracles.oracle_schmidt_sq_max(psi, mask)
@@ -473,3 +524,23 @@ def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):
         ggm(psi, symmetries=[swap_01])
     with pytest.raises(ValueError, match="not a permutation"):
         ggm(psi, symmetries=[(0, 0, 2, 3, 4, 5)])
+    # true generators do not excuse a false one among them
+    lat, _ = ladder_state(3, "open", "forbid")
+    with pytest.raises(ValueError, match="not a symmetry"):
+        ggm(psi, symmetries=[*automorphism_generators(lat), swap_01])
+
+
+def test_default_sweep_permutes_the_basis_once_per_generator(tmp_path, monkeypatch):
+    real = measures._permute_bits
+    calls = []
+
+    def counting(values, perm):
+        calls.append(tuple(perm))
+        return real(values, perm)
+
+    monkeypatch.setattr(measures, "_permute_bits", counting)
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    gens = [perm for m in (3, 4, 5, 6)
+            for perm in automorphism_generators(build_ladder(m, "periodic", "twist"))]
+    assert calls == gens
+    assert len(calls) <= 16
