@@ -154,71 +154,3 @@ def count_coverings(lattice):
     signs = 1 - 2 * ((k - subsets.sum(axis=1)) & 1)
     return int(signs @ np.prod(subsets @ bonds.T, axis=1))
 
-
-def automorphism_generators(lattice):
-    """Generators of the site permutations preserving the dimer-allowed edges.
-
-    The group is every permutation that preserves the multiset of
-    dimer-allowed edges; such a permutation maps dimer coverings to dimer
-    coverings, so it maps the liquid state to plus or minus itself. Each
-    generator is a tuple `perm` with `perm[site]` the image of `site`.
-
-    A stabilizer chain (Schreier-Sims), walked from the last site to the
-    first: at level i every generator found so far fixes sites 0..i-1, and
-    for each site c > i outside the orbit of i under them, the first
-    permutation of the group that fixes sites 0..i-1 and sends i to c, if
-    there is one, becomes a new generator. They generate the whole group,
-    whose order is the product of the orbit sizes of the levels
-    (docs/decisions.md). A search backtracks over sites in order, checking
-    each new image against the multiplicity of every pair already placed.
-    Deterministic; a lattice with no symmetry but the identity gives ().
-    """
-    n = lattice.n
-    mult = [[0] * n for _ in range(n)]
-    for e in lattice.edges:
-        if e.dimer_allowed:
-            mult[e.a][e.b] += 1
-            mult[e.b][e.a] += 1
-    degree = [sum(row) for row in mult]
-    # an earlier neighbour of each site, whose image's neighbours are then
-    # the only candidates for the site's own image
-    anchor = [next((t for t in range(s) if mult[s][t]), None) for s in range(n)]
-
-    def fits(g, image):
-        """Whether site len(image) may go to g, given the images before it."""
-        s = len(image)
-        return (g not in image and degree[g] == degree[s]
-                and all(mult[s][t] == mult[g][image[t]] for t in range(s)))
-
-    def complete(image):
-        """The first group element extending `image`, or None."""
-        if len(image) == n:
-            return tuple(image)
-        a = anchor[len(image)]
-        candidates = range(n) if a is None else [g for g in range(n) if mult[image[a]][g]]
-        for g in candidates:
-            if fits(g, image):
-                found = complete(image + [g])
-                if found is not None:
-                    return found
-        return None
-
-    def orbit(site, gens):
-        seen, frontier = {site}, {site}
-        while frontier:
-            frontier = {g[s] for s in frontier for g in gens} - seen
-            seen |= frontier
-        return seen
-
-    gens = []
-    for i in reversed(range(n)):
-        fixed = list(range(i))
-        reached = orbit(i, gens)
-        for c in range(i + 1, n):
-            if c in reached or not fits(c, fixed):
-                continue
-            found = complete(fixed + [c])
-            if found is not None:
-                gens.append(found)
-                reached = orbit(i, gens)
-    return tuple(gens)

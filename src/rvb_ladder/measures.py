@@ -12,9 +12,10 @@ Both sets are single intervals with closed-form ends.
 
 The generalized geometric measure of a pure n-site state is
 1 - max lambda^2 over all bipartitions, lambda the top Schmidt coefficient.
-Site permutations that map the state to +-itself leave lambda unchanged, so
-one bipartition per symmetry orbit suffices; for a total singlet, one S_z
-block of each reduced state holds lambda^2.
+For a total singlet, the spin-sector weights of every reduced state bound
+lambda^2 for all bipartitions at once, and one S_z block of a reduced state
+holds its lambda^2 exactly; only the splits the bound cannot rule out are
+solved.
 """
 
 import functools
@@ -31,8 +32,12 @@ _PHI = math.atan(1.0 / (2.0 * math.sqrt(2.0)))  # phase of the rail bound
 _TOUCH_TOL = 1e-12  # rounding slack for windows that touch in one angle
 _TIE_TOL = 1e-12  # Schmidt^2 gap below which two bipartitions tie
 _SINGLET_TOL = 1e-10  # largest <S^2> that `ggm` accepts as a total singlet
+# a split whose bound is this far below a solved split's Schmidt^2 cannot tie
+# the maximum: the <S^2> slack moves the bound and the Schmidt^2 by at most
+# 3 sqrt(_SINGLET_TOL / 2) together, and a second _TIE_TOL covers rounding
+_PRUNE_MARGIN = 3.0 * math.sqrt(_SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
 _CHUNK_ENTRIES = 1 << 13  # amplitudes gathered per stacked eigensolve
-MAX_SITES = 18  # largest state the GGM scan and the sweep accept
+MAX_SITES = 20  # largest state the GGM scan and the sweep accept
 
 
 def tangle(p):
@@ -177,60 +182,43 @@ def _sector_top_eigenvalues(psi, n, masks):
     return top
 
 
-def _permute_bits(values, perm):
-    """Move bit k of every entry of `values` to bit perm[k], 8 bits per table."""
-    byte = np.arange(256, dtype=values.dtype)
-    out = np.zeros_like(values)
-    for low in range(0, len(perm), 8):
-        table = np.zeros_like(byte)
-        for k, g in enumerate(perm[low:low + 8]):
-            table |= ((byte >> k) & 1) << g
-        out |= table[(values >> low) & 0xFF]
-    return out
+def _sector_weight_bounds(psi, n):
+    """An upper bound on the top Schmidt^2 across each odd mask 1, 3, ...,
+    2^n - 3, in mask order, for a total singlet psi.
 
+    A singlet's reduced state is rho_A = sum_S rho_S (x) 1_{2S+1} over the
+    total spin S of A, so its top eigenvalue is at most max_S tr rho_S, and
+    tr rho_S = Pr(S_z^A = S) - Pr(S_z^A = S + 1). With k sites in A and d
+    down spins among them, S_z^A = k/2 - d, so tr rho_S = H[d] - H[d - 1]
+    at d = k/2 - S, where H[d, A] = sum_x |psi(x)|^2 [popcount(x & A) = d].
 
-def _check_symmetry(psi, n, perm):
-    """Basis index x -> gx of the relabelling of sites by `perm`.
-
-    Raises ValueError unless the relabelling maps psi to +-psi.
+    One product transform gives H for every subset A at once: n in-place
+    passes, one per bit, of the kernel [[1, 1], [1, t]] with t counting the
+    down spins of A, truncated at d <= n // 4. Read on the smaller side of
+    a split, that covers every sector, d <= k/2; the terms with d > k/2
+    are not positive for a singlet, and a max over more terms is still a
+    bound. On the larger side it covers only some of the same sectors, so
+    the larger of the two sides' reads is the smaller side's bound
+    (docs/decisions.md).
     """
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of the {n} sites")
-    index = _permute_bits(np.arange(psi.size), perm)
-    moved = psi[index]
-    err = min(np.max(np.abs(moved - psi)), np.max(np.abs(moved + psi)))
-    if err > 1e-12:
-        raise ValueError(f"site permutation {perm} is not a symmetry of the state: "
-                         f"max |psi(gx) -+ psi(x)| = {err:.3e}")
-    return index
-
-
-def _orbit_labels(psi, n, symmetries):
-    """Position (mask >> 1) of the smallest odd mask in the orbit of each odd
-    mask under the group `symmetries` generate, each checked against psi.
-
-    A move sends a position to that of the permuted split, complemented when
-    site 0 left its side. Each round lowers every label to the label at its
-    image under each move, then jumps it to its own label's label; labels
-    only fall and stay inside their orbit, and at the fixpoint each is the
-    orbit's smallest position (docs/decisions.md).
-    """
+    top = n // 4
     full = (1 << n) - 1
-    moves = []
-    for perm in symmetries:
-        image = _check_symmetry(psi, n, perm)[1:full:2]  # the images of the masks
-        moves.append((np.where(image & 1, image, full ^ image) >> 1).astype(np.int32))
-    label = np.arange(full >> 1, dtype=np.int32)
-    while True:
-        prev = label
-        for move in moves:
-            label = np.minimum(label, label[move])
-        label = label[label]
-        if np.array_equal(label, prev):
-            return label
+    weight = np.zeros((top + 1, 1 << n))
+    weight[0] = np.abs(psi) ** 2
+    for bit in range(n):
+        pairs = weight.reshape(top + 1, -1, 2, 1 << bit)
+        up, down = pairs[:, :, 0], pairs[:, :, 1]  # bit clear / set in the index
+        for d in range(top, -1, -1):  # down[d - 1] still holds its old row
+            shifted = up[d] + down[d - 1] if d else up[d].copy()
+            up[d] += down[d]
+            down[d] = shifted
+    for d in range(top, 0, -1):
+        weight[d] -= weight[d - 1]
+    bound = weight.max(axis=0)
+    return np.maximum(bound[1:full:2], bound[full - 1:0:-2])
 
 
-def ggm(state, *, symmetries=()):
+def ggm(state):
     """Generalized geometric measure over all 2^(n-1) - 1 bipartitions.
 
     Site 0 is fixed on the reported side, halving the scan. The recorded
@@ -246,19 +234,12 @@ def ggm(state, *, symmetries=()):
     C(k, k//2) x C(n-k, n/2 - k//2) block of psi, taken on the smaller
     side.
 
-    `symmetries` are site permutations (perm[site] = image) that map the
-    state to plus or minus itself and generate a group of such maps, such
-    as `lattice.automorphism_generators`; the whole group is valid too.
-    Such a relabelling carries each bipartition to one with the same
-    Schmidt spectrum, so the Schmidt coefficient is computed once per orbit
-    of the generated group, at its smallest mask (an image without site 0
-    is replaced by its complement), and shared by the orbit. Every
-    permutation is checked against the state first, to 1e-12, and one that
-    fails raises ValueError. The orbits are labelled by min-label
-    propagation along the permutations (`_orbit_labels`). The record does
-    not depend on `symmetries`: `bipartitions_scanned` counts every
-    bipartition covered and `tied_masks` lists every tied mask, so the
-    default (no symmetry, one orbit per mask) is the full scan.
+    Every bipartition is covered, but few are solved. `_sector_weight_bounds`
+    bounds the top Schmidt^2 of every split at once. The split with the
+    largest bound is solved first, then every split whose bound reaches its
+    Schmidt^2 minus _PRUNE_MARGIN. A split below that can neither reach the
+    maximum nor tie it, even with the <S^2> slack (docs/decisions.md), so
+    `mask`, `tied_masks` and `bipartitions_scanned` are the full scan's.
     """
     psi = np.asarray(state)
     n = site_count(psi)
@@ -271,11 +252,15 @@ def ggm(state, *, symmetries=()):
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
 
     masks = np.arange(1, (1 << n) - 1, 2)  # bit 0 always set, complement never empty
-    orbits, orbit_of = np.unique(masks[_orbit_labels(psi, n, symmetries)],
-                                 return_inverse=True)
-    lam2 = _sector_top_eigenvalues(psi, n, orbits)
+    bound = _sector_weight_bounds(psi, n)
+    first = int(np.argmax(bound))
+    (floor,) = _sector_top_eigenvalues(psi, n, masks[first:first + 1])
+    near = bound >= floor - _PRUNE_MARGIN
+    near[first] = False
+    solved = np.append(masks[first], masks[near])
+    lam2 = np.append(floor, _sector_top_eigenvalues(psi, n, masks[near]))
     best = float(lam2.max())
-    tied = tuple(masks[best - lam2[orbit_of] <= _TIE_TOL].tolist())
+    tied = tuple(np.sort(solved[best - lam2 <= _TIE_TOL]).tolist())
     sites = tuple(k for k in range(n) if (tied[0] >> k) & 1)
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best,
                      maximizing_bipartition=sites,

@@ -61,7 +61,7 @@ def _run_size(m, config):
         raise RuntimeError(f"covering count mismatch: permanent {count} vs enumerated {len(coverings)}")
     psi = state.rvb_state(lat, coverings)
     # ggm refuses a state that is not a total singlet and reports its S^2
-    gg = measures.ggm(psi, symmetries=lattice.automorphism_generators(lat))
+    gg = measures.ggm(psi)
 
     fits, agg = density.edge_werner_parameters(lat, psi)
     deg3 = [s for s in lat.sites if lat.degree(s) == 3]

@@ -6,13 +6,15 @@ amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 marginals from explicit index loops instead of reshape/transpose, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
-bipartition instead of one S_z block per symmetry orbit, the amplitude dump
-line by line instead of once per distinct value, the lattice symmetry group
-by full enumeration instead of a stabilizer chain of generators, the tangle
-from Wootters' concurrence instead of the Werner closed form, the cloning
-windows by grid scan and bisection instead of closed forms, the monogamy
-surface by a scalar double loop, and its CSV one formatted line per sample
-row instead of one write per grid row.
+bipartition instead of one S_z block per split, the splits to solve from
+the symmetry orbits of a stabilizer chain of lattice generators (the orbit
+route, which shares the package's S_z-block eigensolve) instead of the
+spin-sector weight bound, the amplitude dump line by line instead of once
+per distinct value, the lattice symmetry group also by full enumeration
+instead of generators, the tangle from Wootters' concurrence instead of the
+Werner closed form, the cloning windows by grid scan and bisection instead
+of closed forms, the monogamy surface by a scalar double loop, and its CSV
+one formatted line per sample row instead of one write per grid row.
 """
 
 import itertools
@@ -20,6 +22,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from rvb_ladder import measures
+from rvb_ladder.state import total_spin_squared
 
 # ---------------------------------------------------------------------------
 # literal lattices (hand-derived; site = row*m + col, A iff row+col even,
@@ -112,6 +117,157 @@ def group_closure(generators, n):
         frontier = list(set(frontier) - group)
         group.update(frontier)
     return group
+
+
+def automorphism_generators(lattice):
+    """Generators of the site permutations preserving the dimer-allowed edges.
+
+    The group is every permutation that preserves the multiset of
+    dimer-allowed edges; such a permutation maps dimer coverings to dimer
+    coverings, so it maps the liquid state to plus or minus itself. Each
+    generator is a tuple `perm` with `perm[site]` the image of `site`.
+
+    A stabilizer chain (Schreier-Sims), walked from the last site to the
+    first: at level i every generator found so far fixes sites 0..i-1, and
+    for each site c > i outside the orbit of i under them, the first
+    permutation of the group that fixes sites 0..i-1 and sends i to c, if
+    there is one, becomes a new generator. They generate the whole group,
+    whose order is the product of the orbit sizes of the levels
+    (docs/decisions.md). A search backtracks over sites in order, checking
+    each new image against the multiplicity of every pair already placed.
+    Deterministic; a lattice with no symmetry but the identity gives ().
+    """
+    n = lattice.n
+    mult = [[0] * n for _ in range(n)]
+    for e in lattice.edges:
+        if e.dimer_allowed:
+            mult[e.a][e.b] += 1
+            mult[e.b][e.a] += 1
+    degree = [sum(row) for row in mult]
+    # an earlier neighbour of each site, whose image's neighbours are then
+    # the only candidates for the site's own image
+    anchor = [next((t for t in range(s) if mult[s][t]), None) for s in range(n)]
+
+    def fits(g, image):
+        """Whether site len(image) may go to g, given the images before it."""
+        s = len(image)
+        return (g not in image and degree[g] == degree[s]
+                and all(mult[s][t] == mult[g][image[t]] for t in range(s)))
+
+    def complete(image):
+        """The first group element extending `image`, or None."""
+        if len(image) == n:
+            return tuple(image)
+        a = anchor[len(image)]
+        candidates = range(n) if a is None else [g for g in range(n) if mult[image[a]][g]]
+        for g in candidates:
+            if fits(g, image):
+                found = complete(image + [g])
+                if found is not None:
+                    return found
+        return None
+
+    def orbit(site, gens):
+        seen, frontier = {site}, {site}
+        while frontier:
+            frontier = {g[s] for s in frontier for g in gens} - seen
+            seen |= frontier
+        return seen
+
+    gens = []
+    for i in reversed(range(n)):
+        fixed = list(range(i))
+        reached = orbit(i, gens)
+        for c in range(i + 1, n):
+            if c in reached or not fits(c, fixed):
+                continue
+            found = complete(fixed + [c])
+            if found is not None:
+                gens.append(found)
+                reached = orbit(i, gens)
+    return tuple(gens)
+
+
+def permute_bits(values, perm):
+    """Move bit k of every entry of `values` to bit perm[k], 8 bits per table."""
+    byte = np.arange(256, dtype=values.dtype)
+    out = np.zeros_like(values)
+    for low in range(0, len(perm), 8):
+        table = np.zeros_like(byte)
+        for k, g in enumerate(perm[low:low + 8]):
+            table |= ((byte >> k) & 1) << g
+        out |= table[(values >> low) & 0xFF]
+    return out
+
+
+def check_symmetry(psi, n, perm):
+    """Basis index x -> gx of the relabelling of sites by `perm`.
+
+    Raises ValueError unless the relabelling maps psi to +-psi.
+    """
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of the {n} sites")
+    index = permute_bits(np.arange(psi.size), perm)
+    moved = psi[index]
+    err = min(np.max(np.abs(moved - psi)), np.max(np.abs(moved + psi)))
+    if err > 1e-12:
+        raise ValueError(f"site permutation {perm} is not a symmetry of the state: "
+                         f"max |psi(gx) -+ psi(x)| = {err:.3e}")
+    return index
+
+
+def orbit_labels(psi, n, symmetries):
+    """Position (mask >> 1) of the smallest odd mask in the orbit of each odd
+    mask under the group `symmetries` generate, each checked against psi.
+
+    A move sends a position to that of the permuted split, complemented when
+    site 0 left its side. Each round lowers every label to the label at its
+    image under each move, then jumps it to its own label's label; labels
+    only fall and stay inside their orbit, and at the fixpoint each is the
+    orbit's smallest position (docs/decisions.md).
+    """
+    full = (1 << n) - 1
+    moves = []
+    for perm in symmetries:
+        image = check_symmetry(psi, n, perm)[1:full:2]  # the images of the masks
+        moves.append((np.where(image & 1, image, full ^ image) >> 1).astype(np.int32))
+    label = np.arange(full >> 1, dtype=np.int32)
+    while True:
+        prev = label
+        for move in moves:
+            label = np.minimum(label, label[move])
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
+
+
+def orbit_ggm(state, symmetries=()):
+    """The GGM record of a total singlet by the orbit route.
+
+    `symmetries` are site permutations (perm[site] = image) that map the
+    state to plus or minus itself, such as `automorphism_generators`; the
+    whole group is valid too. Each is checked against the state to 1e-12
+    first, and one that fails raises ValueError. Such a relabelling carries
+    each bipartition to one with the same Schmidt spectrum, so the top
+    Schmidt^2 is computed once per orbit of the generated group, at its
+    smallest odd mask, by the package's S_z-block eigensolve, and shared by
+    the orbit. Every field but `value` and `max_schmidt_sq` is exact; those
+    two carry the eigensolver's roundoff at the representative. With no
+    symmetry every mask is its own orbit: the full scan.
+    """
+    psi = np.asarray(state)
+    n = psi.size.bit_length() - 1
+    masks = np.arange(1, (1 << n) - 1, 2)
+    orbits, orbit_of = np.unique(masks[orbit_labels(psi, n, symmetries)],
+                                 return_inverse=True)
+    lam2 = measures._sector_top_eigenvalues(psi, n, orbits)
+    best = float(lam2.max())
+    tied = tuple(masks[best - lam2[orbit_of] <= 1e-12].tolist())
+    return measures.GgmRecord(
+        value=1.0 - best, max_schmidt_sq=best,
+        maximizing_bipartition=tuple(k for k in range(n) if (tied[0] >> k) & 1),
+        bipartitions_scanned=len(masks), mask=tied[0], tied_masks=tied,
+        total_spin_sq=total_spin_squared(psi))
 
 
 def oracle_state(coverings, n):

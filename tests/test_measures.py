@@ -7,11 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rvb_ladder import (automorphism_generators, build_ladder,
-                        cloning_theta_sets, edge_werner_parameters, ggm,
-                        measures, monogamy_check, monogamy_surface_sample,
-                        partial_trace, rvb_state, tangle)
-from rvb_ladder.cli import main
+from rvb_ladder import (RunConfig, cloning_theta_sets, edge_werner_parameters,
+                        ggm, measures, monogamy_check, monogamy_surface_sample,
+                        partial_trace, run_sweep, tangle)
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -352,8 +350,9 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
 
 
 # the orbit route computes each Schmidt value from one S_z block at one mask
-# of the orbit, the dense scan from the full Gram matrix at every mask; the
-# two differ only by eigensolver roundoff
+# of the orbit, the bound route at every mask it cannot rule out, and the
+# dense scan from the full Gram matrix at every mask; they differ only by
+# eigensolver roundoff
 SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
 
 # every (m, boundary, odd_wrap) with N <= 12
@@ -371,7 +370,8 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
         lat, psi = ladder_state(*key)
         best, tied = oracles.dense_ggm_scan(psi)
         full = ggm(psi)
-        reduced = ggm(psi, symmetries=automorphism_generators(lat))
+        reduced = oracles.orbit_ggm(
+            psi, symmetries=oracles.automorphism_generators(lat))
         n = lat.n
         for rec in (full, reduced):
             assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
@@ -390,8 +390,9 @@ def test_ggm_generators_give_the_whole_group_record(ladder_state, key):
     # the generators' orbits are the group's, so the same representatives
     # reach the eigensolves and every field agrees exactly
     lat, psi = ladder_state(*key)
-    gens = automorphism_generators(lat)
-    assert ggm(psi, symmetries=gens) == ggm(psi, symmetries=oracles.automorphisms(lat))
+    gens = oracles.automorphism_generators(lat)
+    assert (oracles.orbit_ggm(psi, symmetries=gens)
+            == oracles.orbit_ggm(psi, symmetries=oracles.automorphisms(lat)))
 
 
 def _orbit_minima(group, n):
@@ -421,7 +422,7 @@ def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch
         return real(psi, n, masks)
 
     monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
-    rec = ggm(psi, symmetries=[shift])
+    rec = oracles.orbit_ggm(psi, symmetries=[shift])
     assert set(seen) == _orbit_minima(oracles.group_closure([shift], lat.n), lat.n)
     assert len(seen) == len(set(seen))
     best, tied = oracles.dense_ggm_scan(psi)
@@ -445,7 +446,7 @@ def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypat
     for m, count in orbit_counts.items():
         lat, psi = ladder_state(m, "periodic", "twist")
         seen.clear()
-        rec = ggm(psi, symmetries=automorphism_generators(lat))
+        rec = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
         assert len(seen) == len(set(seen)) == count, m
         assert all(mask & 1 for mask in seen), m
         assert rec.mask in seen, m
@@ -453,19 +454,19 @@ def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypat
 
 def test_ggm_permutes_the_basis_once_per_symmetry(ladder_state, monkeypatch):
     # the symmetry check's permuted basis index also gives the mask images
-    real = measures._permute_bits
+    real = oracles.permute_bits
     calls = []
 
     def counting(values, perm):
         calls.append((values.size, tuple(perm)))
         return real(values, perm)
 
-    monkeypatch.setattr(measures, "_permute_bits", counting)
+    monkeypatch.setattr(oracles, "permute_bits", counting)
     for key in SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         syms = oracles.automorphisms(lat)
         calls.clear()
-        rec = ggm(psi, symmetries=syms)
+        rec = oracles.orbit_ggm(psi, symmetries=syms)
         assert calls == [(psi.size, tuple(perm)) for perm in syms], key
         best, tied = oracles.dense_ggm_scan(psi)
         assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
@@ -488,25 +489,31 @@ def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkey
     for key in SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         calls.clear()
-        ggm(psi, symmetries=automorphism_generators(lat))
+        oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
         ((masks, top),) = calls
         for mask, lam2 in zip(masks, top):
             want = oracles.oracle_schmidt_sq_max(psi, mask)
             assert abs(lam2 - want) <= 1e-12, (key, mask)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_ggm_sector_block_on_random_singlets(data):
-    # singlets that are no RVB state: real combinations of singlet-pair
-    # products over random perfect matchings, beyond any ladder geometry
+def _random_singlet(data):
+    """A singlet that is no RVB state, or None if it cancels: a real
+    combination of singlet-pair products over random perfect matchings of
+    4..10 sites, beyond any ladder geometry."""
     n = data.draw(st.sampled_from((4, 6, 8, 10)))
     terms = data.draw(st.lists(
         st.tuples(st.floats(-1.0, 1.0, allow_nan=False),
                   st.permutations(range(n))),
         min_size=1, max_size=4))
-    psi = oracles.singlet_combination(terms, n)
+    return oracles.singlet_combination(terms, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ggm_sector_block_on_random_singlets(data):
+    psi = _random_singlet(data)
     assume(psi is not None)
+    n = psi.size.bit_length() - 1
     masks = data.draw(st.lists(st.integers(0, (1 << (n - 1)) - 2),
                                min_size=1, max_size=6, unique=True))
     masks = np.array([2 * m + 1 for m in masks])  # odd, complement nonempty
@@ -521,26 +528,72 @@ def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):
     _, psi = ladder_state(3, "open", "forbid")
     swap_01 = (1, 0, 2, 3, 4, 5)  # exchanges an A site with a B site of one rail
     with pytest.raises(ValueError, match="not a symmetry"):
-        ggm(psi, symmetries=[swap_01])
+        oracles.orbit_ggm(psi, symmetries=[swap_01])
     with pytest.raises(ValueError, match="not a permutation"):
-        ggm(psi, symmetries=[(0, 0, 2, 3, 4, 5)])
+        oracles.orbit_ggm(psi, symmetries=[(0, 0, 2, 3, 4, 5)])
     # true generators do not excuse a false one among them
     lat, _ = ladder_state(3, "open", "forbid")
     with pytest.raises(ValueError, match="not a symmetry"):
-        ggm(psi, symmetries=[*automorphism_generators(lat), swap_01])
+        oracles.orbit_ggm(psi, symmetries=[*oracles.automorphism_generators(lat), swap_01])
 
 
-def test_default_sweep_permutes_the_basis_once_per_generator(tmp_path, monkeypatch):
-    real = measures._permute_bits
-    calls = []
+def test_default_sweep_solves_the_largest_bound_and_the_tied_masks(monkeypatch):
+    # the bound rules out every other split of the default sizes, so the only
+    # eigensolves are the split with the largest bound and the tied ones
+    real = measures._sector_top_eigenvalues
+    solved = {}
 
-    def counting(values, perm):
-        calls.append(tuple(perm))
-        return real(values, perm)
+    def recording(psi, n, masks):
+        solved.setdefault(n, []).extend(masks.tolist())
+        return real(psi, n, masks)
 
-    monkeypatch.setattr(measures, "_permute_bits", counting)
-    assert main(["sweep", "--out", str(tmp_path)]) == 0
-    gens = [perm for m in (3, 4, 5, 6)
-            for perm in automorphism_generators(build_ladder(m, "periodic", "twist"))]
-    assert calls == gens
-    assert len(calls) <= 16
+    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    report = run_sweep(RunConfig(out_dir=None))
+    assert [row.m for row in report.rows] == [3, 4, 5, 6]
+    for row in report.rows:
+        bound = measures._sector_weight_bounds(row.state, row.n)
+        first = 2 * int(np.argmax(bound)) + 1
+        rest = [mask for mask in row.ggm.tied_masks if mask != first]
+        assert solved[row.n] == [first, *rest], row.m
+
+
+# every (m, boundary, odd_wrap) the orbit oracle runs in a few seconds, N <= 16
+ORBIT_ORACLE_CONFIGS = [(m, b, w) for m in range(2, 9)
+                        for b in ("open", "periodic") for w in ("forbid", "twist")]
+
+
+@pytest.mark.parametrize("key", ORBIT_ORACLE_CONFIGS)
+def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
+    lat, psi = ladder_state(*key)
+    got = ggm(psi)
+    want = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
+    assert got.mask == want.mask
+    assert got.tied_masks == want.tied_masks
+    assert got.bipartitions_scanned == want.bipartitions_scanned
+    assert got.total_spin_sq == want.total_spin_sq
+    assert got.maximizing_bipartition == want.maximizing_bipartition
+    assert abs(got.value - want.value) <= SYMMETRY_VALUE_TOL
+    assert abs(got.max_schmidt_sq - want.max_schmidt_sq) <= SYMMETRY_VALUE_TOL
+
+
+def _assert_bound_holds(psi):
+    """The spin-sector weight bound is at least the SVD oracle's Schmidt^2
+    on every odd mask."""
+    n = psi.size.bit_length() - 1
+    bound = measures._sector_weight_bounds(psi, n)
+    assert bound.shape == ((1 << (n - 1)) - 1,)
+    for mask, b in zip(range(1, (1 << n) - 1, 2), bound.tolist()):
+        assert b >= oracles.oracle_schmidt_sq_max(psi, mask) - 1e-12, mask
+
+
+def test_sector_weight_bound_holds_on_every_small_ladder(ladder_state):
+    for key in SMALL_CONFIGS:
+        _assert_bound_holds(ladder_state(*key)[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sector_weight_bound_holds_on_random_singlets(data):
+    psi = _random_singlet(data)
+    assume(psi is not None)
+    _assert_bound_holds(psi)

@@ -274,6 +274,22 @@ def test_eighteen_site_ladder_runs():
     assert abs(lam2 - row.ggm.max_schmidt_sq) <= 1e-9
 
 
+def test_twenty_site_ladder_runs():
+    report = run_sweep(RunConfig(sizes=(10,), out_dir=None))
+    assert report.failures == []
+    (row,) = report.rows
+    assert row.n == 20
+    assert row.covering_count == 125
+    assert abs(row.aggregates.p_r - 0.383461367179) < 1e-11
+    assert abs(row.aggregates.p_s - 0.716906034291) < 1e-11
+    assert row.ggm.value == pytest.approx(0.195302427087, abs=1e-11)
+    assert row.ggm.mask == 0xC03
+    assert len(row.ggm.tied_masks) == 10  # the plaquettes, one per column pair
+    assert row.ggm.bipartitions_scanned == (1 << 19) - 1
+    lam2 = oracles.power_iteration_schmidt_sq(row.state, row.ggm.mask)
+    assert abs(lam2 - row.ggm.max_schmidt_sq) <= 1e-9
+
+
 def test_run_size_enumerates_the_coverings_once(monkeypatch):
     real = sweep.lattice.enumerate_coverings
     calls = []
@@ -330,7 +346,7 @@ def test_run_sweep_validation():
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(1,), out_dir=None))
     with pytest.raises(ValueError):
-        run_sweep(RunConfig(sizes=(10,), out_dir=None))  # 20 sites too large
+        run_sweep(RunConfig(sizes=(11,), out_dir=None))  # 22 sites too large
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(3,), boundary="twisted", out_dir=None))
 
@@ -389,7 +405,7 @@ def test_cli_sweep_success(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_sizes(tmp_path, capsys):
-    code = cli.main(["sweep", "--sizes", "10", "--out", str(tmp_path / "o")])
+    code = cli.main(["sweep", "--sizes", "11", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error" in capsys.readouterr().err
 
