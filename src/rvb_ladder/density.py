@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import INV_SQRT2, bipartition_matrix, site_count
+from .state import INV_SQRT2, site_count
 
 WERNER_TOL = 1e-8
 MAX_KEPT_SITES = 12  # memory guard: a 2^12 x 2^12 float64 matrix is 128 MiB
@@ -35,7 +35,11 @@ def partial_trace(state, keep):
     if len(keep) > MAX_KEPT_SITES:
         raise ValueError(f"refusing to build a reduced matrix above {MAX_KEPT_SITES} sites")
 
-    mat = bipartition_matrix(psi, n, keep)
+    kept = set(keep)
+    rest = [s for s in range(n) if s not in kept]
+    # axis of site k in the reshaped tensor is n-1-k; most significant first
+    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
+    mat = psi.reshape([2] * n).transpose(perm).reshape(1 << len(keep), -1)
     return mat @ mat.conj().T
 
 

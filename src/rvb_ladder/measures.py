@@ -36,7 +36,6 @@ _SINGLET_TOL = 1e-10  # largest <S^2> that `ggm` accepts as a total singlet
 # the maximum: the <S^2> slack moves the bound and the Schmidt^2 by at most
 # 3 sqrt(_SINGLET_TOL / 2) together, and a second _TIE_TOL covers rounding
 _PRUNE_MARGIN = 3.0 * math.sqrt(_SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
-_CHUNK_ENTRIES = 1 << 13  # amplitudes gathered per stacked eigensolve
 MAX_SITES = 20  # largest state the GGM scan and the sweep accept
 
 
@@ -142,44 +141,23 @@ def _sector_positions(width, downs):
     return table
 
 
-def _sector_blocks(psi, n, masks):
-    """psi on the S_z sector of each split in `masks`, one (R, C) block each.
+def _schmidt_sq_max(psi, n, mask):
+    """Top eigenvalue of the reduced state across the split `mask`.
 
-    Every split has the same size k <= n/2 of its smaller side. Rows run over
-    the patterns of that side with k // 2 down spins, columns over the
-    patterns of the other n - k sites with n/2 - k // 2 down spins: the only
-    ones a state of total S_z = 0 pairs them with.
+    The block is taken on the smaller side, k <= n/2 sites (the side of
+    `mask` when k = n/2). Rows run over its patterns with k // 2 down spins,
+    columns over the patterns of the other n - k sites with n/2 - k // 2
+    down spins: the only ones a state of total S_z = 0 pairs them with.
     """
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    bits ^= 2 * bits.sum(axis=1, keepdims=True) > n  # the smaller side
-    k = int(bits[0].sum())
-    # 1 << site for the side's sites, then the rest's, each in ascending order
-    weight = np.left_shift(1, np.argsort(1 - bits, axis=1, kind="stable"))
-    rows = weight[:, :k][:, _sector_positions(k, k // 2)].sum(axis=2)
-    cols = weight[:, k:][:, _sector_positions(n - k, n // 2 - k // 2)].sum(axis=2)
-    return psi[rows[:, :, None] | cols[:, None, :]]
-
-
-def _sector_top_eigenvalues(psi, n, masks):
-    """Top eigenvalue of the reduced state across each split in `masks`.
-
-    Splits are grouped by the size k of their smaller side. Within a group,
-    each chunk of blocks holding at most _CHUNK_ENTRIES amplitudes (or one
-    larger block) gets one batched Gram product and one stacked eigensolve.
-    """
-    ones = sum((masks >> s) & 1 for s in range(n))
-    sizes = np.minimum(ones, n - ones)
-    top = np.empty(len(masks))
-    for k in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == k)
-        entries = math.comb(k, k // 2) * math.comb(n - k, n // 2 - k // 2)
-        step = max(1, _CHUNK_ENTRIES // entries)
-        for start in range(0, len(group), step):
-            chunk = group[start:start + step]
-            blocks = _sector_blocks(psi, n, masks[chunk])
-            gram = blocks @ blocks.conj().swapaxes(1, 2)
-            top[chunk] = np.linalg.eigvalsh(gram)[:, -1]
-    return top
+    side = [s for s in range(n) if (mask >> s) & 1]
+    rest = [s for s in range(n) if not (mask >> s) & 1]
+    if 2 * len(side) > n:
+        side, rest = rest, side
+    k = len(side)
+    rows = np.left_shift(1, side)[_sector_positions(k, k // 2)].sum(axis=1)
+    cols = np.left_shift(1, rest)[_sector_positions(n - k, n // 2 - k // 2)].sum(axis=1)
+    block = psi[rows[:, None] | cols[None, :]]
+    return float(np.linalg.eigvalsh(block @ block.conj().T)[-1])
 
 
 def _sector_weight_bounds(psi, n):
@@ -254,11 +232,12 @@ def ggm(state):
     masks = np.arange(1, (1 << n) - 1, 2)  # bit 0 always set, complement never empty
     bound = _sector_weight_bounds(psi, n)
     first = int(np.argmax(bound))
-    (floor,) = _sector_top_eigenvalues(psi, n, masks[first:first + 1])
+    floor = _schmidt_sq_max(psi, n, int(masks[first]))
     near = bound >= floor - _PRUNE_MARGIN
     near[first] = False
     solved = np.append(masks[first], masks[near])
-    lam2 = np.append(floor, _sector_top_eigenvalues(psi, n, masks[near]))
+    lam2 = np.array([floor] + [_schmidt_sq_max(psi, n, mask)
+                               for mask in masks[near].tolist()])
     best = float(lam2.max())
     tied = tuple(np.sort(solved[best - lam2 <= _TIE_TOL]).tolist())
     sites = tuple(k for k in range(n) if (tied[0] >> k) & 1)

@@ -87,20 +87,6 @@ def total_spin_squared(state):
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
 
-def bipartition_matrix(psi, n, keep):
-    """The n-site vector `psi` as a matrix across the split `keep` | rest.
-
-    Rows run over the `keep` sites in list order, keep[0] the least
-    significant bit; columns over the other sites in ascending order, the
-    lowest one least significant.
-    """
-    kept = set(keep)
-    rest = [s for s in range(n) if s not in kept]
-    # axis of site k in the reshaped tensor is n-1-k; most significant first
-    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
-    return np.asarray(psi).reshape([2] * n).transpose(perm).reshape(1 << len(keep), -1)
-
-
 def dump_state(state, path, m, boundary):
     """Write amplitudes in index order, one per line, after a header line.
 

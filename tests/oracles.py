@@ -260,7 +260,7 @@ def orbit_ggm(state, symmetries=()):
     masks = np.arange(1, (1 << n) - 1, 2)
     orbits, orbit_of = np.unique(masks[orbit_labels(psi, n, symmetries)],
                                  return_inverse=True)
-    lam2 = measures._sector_top_eigenvalues(psi, n, orbits)
+    lam2 = np.array([measures._schmidt_sq_max(psi, n, mask) for mask in orbits.tolist()])
     best = float(lam2.max())
     tied = tuple(masks[best - lam2[orbit_of] <= 1e-12].tolist())
     return measures.GgmRecord(

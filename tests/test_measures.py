@@ -414,14 +414,14 @@ def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch
     m = 6
     lat, psi = ladder_state(m, "periodic", "twist")
     shift = tuple(r * m + (c + 1) % m for r in range(2) for c in range(m))
-    real = measures._sector_top_eigenvalues
+    real = measures._schmidt_sq_max
     seen = []
 
-    def recording(psi, n, masks):
-        seen.extend(masks.tolist())
-        return real(psi, n, masks)
+    def recording(psi, n, mask):
+        seen.append(mask)
+        return real(psi, n, mask)
 
-    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    monkeypatch.setattr(measures, "_schmidt_sq_max", recording)
     rec = oracles.orbit_ggm(psi, symmetries=[shift])
     assert set(seen) == _orbit_minima(oracles.group_closure([shift], lat.n), lat.n)
     assert len(seen) == len(set(seen))
@@ -435,14 +435,14 @@ def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch
 def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):
     # orbits of the odd masks (site 0 on the kept side) under the ladder group
     orbit_counts = {3: 5, 4: 13, 5: 43, 6: 134, 7: 361}
-    real = measures._sector_top_eigenvalues
+    real = measures._schmidt_sq_max
     seen = []
 
-    def counting(psi, n, masks):
-        seen.extend(masks.tolist())
-        return real(psi, n, masks)
+    def counting(psi, n, mask):
+        seen.append(mask)
+        return real(psi, n, mask)
 
-    monkeypatch.setattr(measures, "_sector_top_eigenvalues", counting)
+    monkeypatch.setattr(measures, "_schmidt_sq_max", counting)
     for m, count in orbit_counts.items():
         lat, psi = ladder_state(m, "periodic", "twist")
         seen.clear()
@@ -477,21 +477,21 @@ def test_ggm_permutes_the_basis_once_per_symmetry(ladder_state, monkeypatch):
 def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkeypatch):
     # the one S_z block of each orbit representative holds the full top
     # Schmidt^2 of its split
-    real = measures._sector_top_eigenvalues
+    real = measures._schmidt_sq_max
     calls = []
 
-    def recording(psi, n, masks):
-        top = real(psi, n, masks)
-        calls.append((masks.tolist(), top))
+    def recording(psi, n, mask):
+        top = real(psi, n, mask)
+        calls.append((mask, top))
         return top
 
-    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    monkeypatch.setattr(measures, "_schmidt_sq_max", recording)
     for key in SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         calls.clear()
         oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
-        ((masks, top),) = calls
-        for mask, lam2 in zip(masks, top):
+        assert calls, key
+        for mask, lam2 in calls:
             want = oracles.oracle_schmidt_sq_max(psi, mask)
             assert abs(lam2 - want) <= 1e-12, (key, mask)
 
@@ -516,9 +516,8 @@ def test_ggm_sector_block_on_random_singlets(data):
     n = psi.size.bit_length() - 1
     masks = data.draw(st.lists(st.integers(0, (1 << (n - 1)) - 2),
                                min_size=1, max_size=6, unique=True))
-    masks = np.array([2 * m + 1 for m in masks])  # odd, complement nonempty
-    got = measures._sector_top_eigenvalues(psi, n, masks)
-    for mask, lam2 in zip(masks.tolist(), got):
+    for mask in (2 * m + 1 for m in masks):  # odd, complement nonempty
+        lam2 = measures._schmidt_sq_max(psi, n, mask)
         assert abs(lam2 - oracles.oracle_schmidt_sq_max(psi, mask)) <= 1e-12, mask
     if n <= 8:
         assert abs(ggm(psi).value - oracles.oracle_ggm(psi)) <= 1e-12
@@ -540,14 +539,14 @@ def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):
 def test_default_sweep_solves_the_largest_bound_and_the_tied_masks(monkeypatch):
     # the bound rules out every other split of the default sizes, so the only
     # eigensolves are the split with the largest bound and the tied ones
-    real = measures._sector_top_eigenvalues
+    real = measures._schmidt_sq_max
     solved = {}
 
-    def recording(psi, n, masks):
-        solved.setdefault(n, []).extend(masks.tolist())
-        return real(psi, n, masks)
+    def recording(psi, n, mask):
+        solved.setdefault(n, []).append(mask)
+        return real(psi, n, mask)
 
-    monkeypatch.setattr(measures, "_sector_top_eigenvalues", recording)
+    monkeypatch.setattr(measures, "_schmidt_sq_max", recording)
     report = run_sweep(RunConfig(out_dir=None))
     assert [row.m for row in report.rows] == [3, 4, 5, 6]
     for row in report.rows:
@@ -574,6 +573,19 @@ def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
     assert got.maximizing_bipartition == want.maximizing_bipartition
     assert abs(got.value - want.value) <= SYMMETRY_VALUE_TOL
     assert abs(got.max_schmidt_sq - want.max_schmidt_sq) <= SYMMETRY_VALUE_TOL
+
+
+@pytest.mark.parametrize("key", ORBIT_ORACLE_CONFIGS)
+def test_ggm_winner_is_its_split_solved_alone(ladder_state, key):
+    # a split's Schmidt^2 depends only on the split, not on which other
+    # splits are solved in the same call, so the record's value is exactly
+    # the largest of its tied splits' solved one at a time
+    _, psi = ladder_state(*key)
+    n = psi.size.bit_length() - 1
+    rec = ggm(psi)
+    alone = max(measures._schmidt_sq_max(psi, n, t) for t in rec.tied_masks)
+    assert rec.max_schmidt_sq == alone
+    assert rec.value == 1.0 - alone
 
 
 def _assert_bound_holds(psi):
