@@ -77,30 +77,20 @@ def werner_parameter(rho):
 class EdgeAggregates:
     p_r: float
     p_s: float
-    p_r_min: float
-    p_r_max: float
-    p_s_min: float
-    p_s_max: float
 
 
 def edge_werner_parameters(lattice, state):
     """Werner fit for every edge (dimer-forbidden wraps included, for the record).
 
     Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
-    p_r = mean over dimer-allowed rails, p_s = mean over steps, with per-kind
-    min/max spread over the same edge sets.
+    p_r = mean over dimer-allowed rails, p_s = mean over steps.
     """
     fits = {}
     for e in lattice.edges:
         fits[e] = werner_parameter(partial_trace(state, [e.a, e.b]))
     rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
     step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
-    agg = EdgeAggregates(
-        p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)),
-        p_r_min=min(rail_ps), p_r_max=max(rail_ps),
-        p_s_min=min(step_ps), p_s_max=max(step_ps),
-    )
-    return fits, agg
+    return fits, EdgeAggregates(p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)))
 
 
 def regional_entanglement(lattice, fits, site):

@@ -48,8 +48,6 @@ def tangle(p):
 
 @dataclass(frozen=True)
 class MonogamyRecord:
-    p_r: float
-    p_s: float
     tangle_rail: float
     tangle_step: float
     lhs: float  # verbatim (3p_r-1)^2/2 + (3p_s-1)^2/4, no clamping
@@ -59,8 +57,8 @@ class MonogamyRecord:
 def monogamy_check(p_r, p_s):
     lhs = (3.0 * p_r - 1.0) ** 2 / 2.0 + (3.0 * p_s - 1.0) ** 2 / 4.0
     t_r, t_s = tangle(p_r), tangle(p_s)
-    return MonogamyRecord(p_r=p_r, p_s=p_s, tangle_rail=t_r, tangle_step=t_s,
-                          lhs=lhs, satisfied=2.0 * t_r + t_s <= 1.0 + 1e-12)
+    return MonogamyRecord(tangle_rail=t_r, tangle_step=t_s, lhs=lhs,
+                          satisfied=2.0 * t_r + t_s <= 1.0 + 1e-12)
 
 
 def monogamy_surface_sample(grid_resolution):
@@ -78,8 +76,6 @@ def monogamy_surface_sample(grid_resolution):
 
 @dataclass(frozen=True)
 class CloningBoundRecord:
-    p_r: float
-    p_s: float
     s1: tuple  # the rail window as () or ((lo, hi),)
     s2: tuple  # the step window, likewise
     theta_max: object  # float, or None for an empty intersection
@@ -114,17 +110,14 @@ def cloning_theta_sets(p_r, p_s):
         margin = hi - lo
         if margin >= -_TOUCH_TOL:
             theta_max = max(lo, hi)
-    return CloningBoundRecord(p_r=p_r, p_s=p_s, s1=s1, s2=s2,
-                              theta_max=theta_max, margin=margin)
+    return CloningBoundRecord(s1=s1, s2=s2, theta_max=theta_max, margin=margin)
 
 
 @dataclass(frozen=True)
 class GgmRecord:
     value: float
     max_schmidt_sq: float
-    maximizing_bipartition: tuple  # site ids on the side containing site 0
-    bipartitions_scanned: int
-    mask: int  # bitmask of the maximizing side (smallest among ties)
+    mask: int  # bitmask of the maximizing side, site 0 in it (smallest among ties)
     tied_masks: tuple  # all masks whose Schmidt^2 ties the maximum within 1e-12
     total_spin_sq: float  # <S^2> measured by the singlet precondition
 
@@ -217,7 +210,7 @@ def ggm(state):
     largest bound is solved first, then every split whose bound reaches its
     Schmidt^2 minus _PRUNE_MARGIN. A split below that can neither reach the
     maximum nor tie it, even with the <S^2> slack (docs/decisions.md), so
-    `mask`, `tied_masks` and `bipartitions_scanned` are the full scan's.
+    `mask` and `tied_masks` are the full scan's.
     """
     psi = np.asarray(state)
     n = site_count(psi)
@@ -240,8 +233,5 @@ def ggm(state):
                                for mask in masks[near].tolist()])
     best = float(lam2.max())
     tied = tuple(np.sort(solved[best - lam2 <= _TIE_TOL]).tolist())
-    sites = tuple(k for k in range(n) if (tied[0] >> k) & 1)
-    return GgmRecord(value=1.0 - best, max_schmidt_sq=best,
-                     maximizing_bipartition=sites,
-                     bipartitions_scanned=len(masks),
-                     mask=tied[0], tied_masks=tied, total_spin_sq=spin_sq)
+    return GgmRecord(value=1.0 - best, max_schmidt_sq=best, mask=tied[0],
+                     tied_masks=tied, total_spin_sq=spin_sq)

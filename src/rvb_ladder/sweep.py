@@ -5,8 +5,6 @@ from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
 
-FIG7_REFERENCE = (0.67, 0.241, -0.858)  # published quadratic, constant term first
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -22,10 +20,7 @@ class RunConfig:
 class SizeRow:
     m: int
     n: int
-    boundary: str
-    odd_wrap: str
     covering_count: int
-    total_spin_sq: float
     fits: dict  # Edge -> WernerFit
     aggregates: density.EdgeAggregates
     p_avg: object  # float, or None when no degree-3 site exists
@@ -72,9 +67,8 @@ def _run_size(m, config):
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
 
-    return SizeRow(m=m, n=lat.n, boundary=config.boundary, odd_wrap=config.odd_wrap,
-                   covering_count=count, total_spin_sq=gg.total_spin_sq, fits=fits,
-                   aggregates=agg, p_avg=p_avg, F_r=F_r, F_s=F_s, F_avg=F_avg,
+    return SizeRow(m=m, n=lat.n, covering_count=count, fits=fits, aggregates=agg,
+                   p_avg=p_avg, F_r=F_r, F_s=F_s, F_avg=F_avg,
                    monogamy=mono, cloning=clone, ggm=gg,
                    steps_on_a_side=_whole_columns(gg.mask, m), lattice=lat, state=psi)
 
@@ -112,8 +106,7 @@ def run_sweep(config):
 
 def fit_figures(report):
     """Attach the two theta-vs-N fits and the p_r-vs-p_s quadratic (>= 3 sizes)."""
-    report.fits = {"fig6_linear": None, "fig6_quadratic": None,
-                   "fig7_quadratic": None, "fig7_reference_delta": None}
+    report.fits = {"fig6_linear": None, "fig6_quadratic": None, "fig7_quadratic": None}
     theta_rows = [(r.n, r.cloning.theta_max) for r in report.rows
                   if r.cloning.theta_max is not None]
     if len(theta_rows) >= 3:
@@ -124,10 +117,8 @@ def fit_figures(report):
     if len(report.rows) >= 3:
         ps = [r.aggregates.p_s for r in report.rows]
         pr = [r.aggregates.p_r for r in report.rows]
-        fit7 = numerics.poly_fit(ps, pr, "full_quadratic")  # singular fits propagate
-        report.fits["fig7_quadratic"] = fit7
-        report.fits["fig7_reference_delta"] = tuple(
-            c - ref for c, ref in zip(fit7.coefficients, FIG7_REFERENCE))
+        report.fits["fig7_quadratic"] = numerics.poly_fit(
+            ps, pr, "full_quadratic")  # singular fits propagate
     return report
 
 
@@ -206,7 +197,7 @@ def emit_csv(report, out_dir):
     for r in rows:
         for e in r.lattice.edges:
             f = r.fits[e]
-            edge_rows.append((r.n, r.m, r.boundary, e.a, e.b, e.kind,
+            edge_rows.append((r.n, r.m, r.lattice.boundary, e.a, e.b, e.kind,
                               e.dimer_allowed, f.p, f.residual))
     _write_csv(detail / "edges.csv",
                ["n", "m", "boundary", "edge_a", "edge_b", "kind", "allowed", "p", "residual"],
@@ -217,12 +208,12 @@ def emit_csv(report, out_dir):
                 for r in rows])
     _write_csv(detail / "monogamy.csv",
                ["n", "p_r", "p_s", "lhs", "tangle_rail", "tangle_step", "satisfied"],
-               [(r.n, r.monogamy.p_r, r.monogamy.p_s, r.monogamy.lhs,
+               [(r.n, r.aggregates.p_r, r.aggregates.p_s, r.monogamy.lhs,
                  r.monogamy.tangle_rail, r.monogamy.tangle_step, r.monogamy.satisfied)
                 for r in rows])
     _write_csv(detail / "cloning.csv",
                ["n", "p_r", "p_s", "theta_max", "s1_intervals", "s2_intervals", "margin"],
-               [(r.n, r.cloning.p_r, r.cloning.p_s, r.cloning.theta_max,
+               [(r.n, r.aggregates.p_r, r.aggregates.p_s, r.cloning.theta_max,
                  _intervals_str(r.cloning.s1), _intervals_str(r.cloning.s2),
                  r.cloning.margin)
                 for r in rows])
@@ -247,4 +238,4 @@ def emit_csv(report, out_dir):
 
     if cfg.dump_states:
         for r in rows:
-            state.dump_state(r.state, out / f"state_n{r.n}.txt", r.m, r.boundary)
+            state.dump_state(r.state, out / f"state_n{r.n}.txt", r.m, r.lattice.boundary)

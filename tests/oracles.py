@@ -264,9 +264,7 @@ def orbit_ggm(state, symmetries=()):
     best = float(lam2.max())
     tied = tuple(masks[best - lam2[orbit_of] <= 1e-12].tolist())
     return measures.GgmRecord(
-        value=1.0 - best, max_schmidt_sq=best,
-        maximizing_bipartition=tuple(k for k in range(n) if (tied[0] >> k) & 1),
-        bipartitions_scanned=len(masks), mask=tied[0], tied_masks=tied,
+        value=1.0 - best, max_schmidt_sq=best, mask=tied[0], tied_masks=tied,
         total_spin_sq=total_spin_squared(psi))
 
 
@@ -394,6 +392,16 @@ def oracle_werner_p(rho):
     s = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
     F = float(np.real(s @ np.asarray(rho) @ s))
     return (4.0 * F - 1.0) / 3.0
+
+
+def rail_and_step_ps(lattice, fits):
+    """The p of each edge the two aggregates average: dimer-allowed rails, steps.
+
+    Their min and max give the per-kind spread around p_r and p_s.
+    """
+    rails = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
+    steps = [fits[e].p for e in lattice.edges if e.kind == "step"]
+    return rails, steps
 
 
 def oracle_bipartition_matrix(psi, mask):

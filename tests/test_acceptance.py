@@ -131,7 +131,7 @@ def test_criterion_2_werner_form(paper_run):
 
 def test_criterion_3_total_singlet(paper_run):
     report, _ = paper_run
-    worst = max(r.total_spin_sq for r in report.rows)
+    worst = max(r.ggm.total_spin_sq for r in report.rows)
     _verdict(3, "total-singlet property", worst < 1e-10, f"max S^2 = {worst:.2e}")
 
 

@@ -135,11 +135,12 @@ def test_aggregates_match_expected_values(ladder_state):
         if "p_r" not in exp:
             continue
         lat, psi = ladder_state(m, b, w)
-        _, agg = edge_werner_parameters(lat, psi)
+        fits, agg = edge_werner_parameters(lat, psi)
         assert abs(agg.p_r - float(exp["p_r"])) < 1e-11, (m, b, w)
         assert abs(agg.p_s - float(exp["p_s"])) < 1e-11, (m, b, w)
-        assert agg.p_r_min <= agg.p_r <= agg.p_r_max
-        assert agg.p_s_min <= agg.p_s <= agg.p_s_max
+        rail_ps, step_ps = oracles.rail_and_step_ps(lat, fits)
+        assert min(rail_ps) <= agg.p_r <= max(rail_ps)
+        assert min(step_ps) <= agg.p_s <= max(step_ps)
 
 
 def test_edge_equivalence_under_symmetry(ladder_state):
@@ -148,7 +149,8 @@ def test_edge_equivalence_under_symmetry(ladder_state):
     fits, agg = edge_werner_parameters(lat, psi)
     for fit in fits.values():
         assert abs(fit.p - 5.0 / 9.0) < 1e-11
-    assert abs(agg.p_r_max - agg.p_r_min) < 1e-11
+    rail_ps, _ = oracles.rail_and_step_ps(lat, fits)
+    assert abs(max(rail_ps) - min(rail_ps)) < 1e-11
     # the 8-site periodic ladder is the cube: rails and steps agree
     lat, psi = ladder_state(4, "periodic", "forbid")
     _, agg = edge_werner_parameters(lat, psi)

@@ -102,6 +102,21 @@ def test_monogamy_lhs_expected_values(ladder_state):
         assert rec.satisfied
 
 
+def test_monogamy_flags_the_doubled_rail_of_the_periodic_four_site_ring():
+    # at m = 2 the wrap rail repeats the inner rail, so a site's two rails
+    # lead to one partner and 2 tau(p_r) counts that partner twice
+    (row,) = run_sweep(RunConfig(sizes=(2,), out_dir=None)).rows
+    rails = {(e.a, e.b) for e in row.lattice.edges if e.kind == "rail"}
+    assert len(rails) == 2
+    assert row.aggregates.p_r == pytest.approx(20.0 / 21.0, abs=1e-12)
+    assert row.aggregates.p_s == pytest.approx(5.0 / 21.0, abs=1e-12)
+    rec = row.monogamy
+    assert not rec.satisfied
+    assert 2.0 * rec.tangle_rail + rec.tangle_step == pytest.approx(338.0 / 196.0, abs=1e-12)
+    # the one-partner form holds: tau_r + tau_s = (13/14)^2 + 0
+    assert rec.tangle_rail + rec.tangle_step == pytest.approx(169.0 / 196.0, abs=1e-12)
+
+
 def test_monogamy_surface_grid():
     rows = monogamy_surface_sample(5)
     assert rows.shape == (25, 3)
@@ -125,7 +140,6 @@ def test_monogamy_surface_bit_identical_to_scalar_loop():
 
 def test_cloning_sets_shape():
     rec = cloning_theta_sets(0.5, 0.6)
-    assert rec.p_r == 0.5 and rec.p_s == 0.6
     # S1 is one interval strictly inside (0, pi/2); S2 starts at 0
     assert len(rec.s1) == 1 and len(rec.s2) == 1
     lo1, hi1 = rec.s1[0]
@@ -262,7 +276,6 @@ def test_ggm_rejects_states_that_are_not_singlets():
 def test_ggm_two_site_singlet():
     rec = ggm(oracles.singlet_pair())
     assert rec.value == pytest.approx(0.5, abs=1e-12)
-    assert rec.bipartitions_scanned == 1
     assert abs(rec.total_spin_sq) < 1e-12
 
 
@@ -283,7 +296,6 @@ def test_ggm_matches_svd_oracle_small(ladder_state):
         rec = ggm(psi)
         assert rec.value == pytest.approx(oracles.oracle_ggm(psi), abs=1e-10)
         n = psi.size.bit_length() - 1
-        assert rec.bipartitions_scanned == (1 << (n - 1)) - 1
         # every bipartition agrees with the SVD route: the top reduced-density
         # eigenvalue equals the top squared Schmidt coefficient
         for mask in range(1, (1 << n) - 1, 2):
@@ -303,8 +315,6 @@ def test_ggm_expected_values(ladder_state):
         assert rec.mask == exp["ggm_mask"], (m, b, w)
         assert rec.mask in rec.tied_masks
         assert rec.mask & 1  # site 0 on the recorded side
-        sites = tuple(k for k in range(2 * m) if (exp["ggm_mask"] >> k) & 1)
-        assert rec.maximizing_bipartition == sites
         assert rec.max_schmidt_sq == pytest.approx(1.0 - float(exp["ggm"]), abs=1e-11)
 
 
@@ -334,7 +344,7 @@ def test_ggm_max_schmidt_bounded_below_by_dimension(ladder_state):
     for m, b, w in oracles.PAPER_SIZES:
         _, psi = ladder_state(m, b, w)
         rec = ggm(psi)
-        a = len(rec.maximizing_bipartition)
+        a = rec.mask.bit_count()
         d_min = 2 ** min(a, 2 * m - a)
         assert rec.max_schmidt_sq >= 1.0 / d_min - 1e-12, (m, b, w)
 
@@ -372,14 +382,13 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
         full = ggm(psi)
         reduced = oracles.orbit_ggm(
             psi, symmetries=oracles.automorphism_generators(lat))
+        # the bound covers every bipartition with site 0 on the mask's side
         n = lat.n
+        assert measures._sector_weight_bounds(psi, n).shape == ((1 << (n - 1)) - 1,), key
         for rec in (full, reduced):
             assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL, key
             assert rec.mask == tied[0], key
             assert rec.tied_masks == tied, key
-            assert rec.bipartitions_scanned == (1 << (n - 1)) - 1, key
-            assert rec.maximizing_bipartition == tuple(
-                k for k in range(n) if (tied[0] >> k) & 1), key
             # power iteration on the winner's full bipartition matrix
             lam2 = oracles.power_iteration_schmidt_sq(psi, rec.mask)
             assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
@@ -429,7 +438,6 @@ def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch
     assert abs(rec.value - (1.0 - best)) <= SYMMETRY_VALUE_TOL
     assert rec.mask == tied[0]
     assert rec.tied_masks == tied
-    assert rec.bipartitions_scanned == (1 << (lat.n - 1)) - 1
 
 
 def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypatch):
@@ -568,9 +576,7 @@ def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
     want = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
     assert got.mask == want.mask
     assert got.tied_masks == want.tied_masks
-    assert got.bipartitions_scanned == want.bipartitions_scanned
     assert got.total_spin_sq == want.total_spin_sq
-    assert got.maximizing_bipartition == want.maximizing_bipartition
     assert abs(got.value - want.value) <= SYMMETRY_VALUE_TOL
     assert abs(got.max_schmidt_sq - want.max_schmidt_sq) <= SYMMETRY_VALUE_TOL
 
