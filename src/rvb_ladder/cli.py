@@ -3,6 +3,7 @@
 import argparse
 import sys
 
+from .lattice import BOUNDARIES, ODD_WRAPS
 from .sweep import RunConfig, run_sweep
 
 
@@ -22,18 +23,22 @@ def build_parser():
         description="Entanglement sweep over two-leg ladder dimer-liquid states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
     sweep = sub.add_parser("sweep", help="run the full per-size pipeline and emit CSVs")
-    sweep.add_argument("--sizes", type=_parse_sizes, default=(3, 4, 5, 6),
-                       metavar="M1,M2,...", help="ladder lengths (rungs), default 3,4,5,6")
-    sweep.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    sweep.add_argument("--sizes", type=_parse_sizes, default=defaults.sizes,
+                       metavar="M1,M2,...", help="ladder lengths (rungs), default "
+                       + ",".join(str(m) for m in defaults.sizes))
+    sweep.add_argument("--boundary", choices=BOUNDARIES, default=defaults.boundary)
     sweep.add_argument("--out", required=True, metavar="DIR",
                        help="output directory for the figure CSVs")
     sweep.add_argument("--dump-states", action="store_true",
                        help="also write the full amplitude vectors")
-    sweep.add_argument("--surface-res", type=int, default=100,
-                       help="grid resolution for the monogamy surface CSV (default 100)")
-    sweep.add_argument("--odd-wrap", choices=("twist", "forbid"), default="twist",
-                       help="how the periodic wrap treats odd lengths (default twist)")
+    sweep.add_argument("--surface-res", type=int, default=defaults.surface_res,
+                       help="grid resolution for the monogamy surface CSV "
+                       f"(default {defaults.surface_res})")
+    sweep.add_argument("--odd-wrap", choices=ODD_WRAPS, default=defaults.odd_wrap,
+                       help="how the periodic wrap treats odd lengths "
+                       f"(default {defaults.odd_wrap})")
     return parser
 
 

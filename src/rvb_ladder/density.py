@@ -93,12 +93,18 @@ def edge_werner_parameters(lattice, state):
     return fits, EdgeAggregates(p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)))
 
 
-def regional_entanglement(lattice, fits, site):
-    """Mean Werner parameter over the three edges meeting at `site`."""
-    incident = [e for e in lattice.edges if site in (e.a, e.b)]
-    if len(incident) != 3:
-        raise ValueError(f"site {site} has degree {len(incident)}, need 3")
-    return float(np.mean([fits[e].p for e in incident]))
+def regional_entanglement(lattice, fits):
+    """p_avg: the mean over degree-3 sites of the mean p of each one's three edges.
+
+    Edges are taken in edge order. Degree-2 corners of open ladders are
+    skipped; None when no site has degree 3 (the open m = 2 ladder).
+    """
+    incident = [[] for _ in lattice.sites]
+    for e in lattice.edges:
+        incident[e.a].append(fits[e].p)
+        incident[e.b].append(fits[e].p)
+    regional = [float(np.mean(ps)) for ps in incident if len(ps) == 3]
+    return sum(regional) / len(regional) if regional else None
 
 
 def teleportation_fidelities(p_r, p_s):

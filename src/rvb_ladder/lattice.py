@@ -39,9 +39,6 @@ class LadderLattice:
     def sites(self):
         return range(self.n)
 
-    def degree(self, site):
-        return sum(1 for e in self.edges if site in (e.a, e.b))
-
 
 def build_ladder(m, boundary="periodic", odd_wrap="forbid"):
     """Construct the 2 x m ladder.

@@ -46,16 +46,14 @@ def _covering_terms(covering, n):
     return indices, signs * INV_SQRT2 ** k
 
 
-def rvb_state(lattice, coverings=None):
+def rvb_state(lattice):
     """Normalized equal superposition of all dimer-covering states.
 
-    `coverings` is `enumerate_coverings(lattice)`, enumerated here unless
-    the caller passes it. One bincount adds the coverings' entries in
+    One bincount adds the entries of `enumerate_coverings(lattice)` in
     covering order, so each amplitude is the same sum as adding the covering
     states one by one.
     """
-    if coverings is None:
-        coverings = enumerate_coverings(lattice)
+    coverings = enumerate_coverings(lattice)
     if not coverings:
         raise ValueError(f"lattice m={lattice.m} {lattice.boundary} has no dimer covering")
     indices, amps = zip(*(_covering_terms(cov, lattice.n) for cov in coverings))

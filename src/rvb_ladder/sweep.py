@@ -43,34 +43,22 @@ class EntanglementReport:
     fits: dict = field(default_factory=dict)
 
 
-def _whole_columns(mask, m):
-    """Number of columns with both of their sites on the mask's side."""
-    return sum((mask >> c) & (mask >> (c + m)) & 1 for c in range(m))
-
-
-def _run_size(m, config):
-    lat = lattice.build_ladder(m, config.boundary, config.odd_wrap)
-    coverings = lattice.enumerate_coverings(lat)
-    count = lattice.count_coverings(lat)
-    if count != len(coverings):
-        raise RuntimeError(f"covering count mismatch: permanent {count} vs enumerated {len(coverings)}")
-    psi = state.rvb_state(lat, coverings)
+def _run_size(lat):
+    psi = state.rvb_state(lat)
     # ggm refuses a state that is not a total singlet and reports its S^2
     gg = measures.ggm(psi)
 
     fits, agg = density.edge_werner_parameters(lat, psi)
-    deg3 = [s for s in lat.sites if lat.degree(s) == 3]
-    p_avg = None
-    if deg3:
-        p_avg = sum(density.regional_entanglement(lat, fits, s) for s in deg3) / len(deg3)
     F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
+    # columns with both of their sites on the GGM mask's side
+    whole_columns = sum((gg.mask >> c) & (gg.mask >> (c + lat.m)) & 1 for c in range(lat.m))
 
-    return SizeRow(m=m, n=lat.n, covering_count=count, fits=fits, aggregates=agg,
-                   p_avg=p_avg, F_r=F_r, F_s=F_s, F_avg=F_avg,
-                   monogamy=mono, cloning=clone, ggm=gg,
-                   steps_on_a_side=_whole_columns(gg.mask, m), lattice=lat, state=psi)
+    return SizeRow(m=lat.m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
+                   aggregates=agg, p_avg=density.regional_entanglement(lat, fits),
+                   F_r=F_r, F_s=F_s, F_avg=F_avg, monogamy=mono, cloning=clone, ggm=gg,
+                   steps_on_a_side=whole_columns, lattice=lat, state=psi)
 
 
 def run_sweep(config):
@@ -80,24 +68,23 @@ def run_sweep(config):
     if len(set(config.sizes)) != len(config.sizes):
         raise ValueError(f"repeated size in {config.sizes}; each size runs once")
     for m in config.sizes:
-        if m < 2 or 2 * m > measures.MAX_SITES:
-            raise ValueError(f"size m={m} outside the supported range "
-                             f"(2 <= m, N <= {measures.MAX_SITES})")
-    if config.boundary not in lattice.BOUNDARIES:
-        raise ValueError(f"bad boundary {config.boundary!r}")
-    if config.odd_wrap not in lattice.ODD_WRAPS:
-        raise ValueError(f"bad odd_wrap {config.odd_wrap!r}")
+        if 2 * m > measures.MAX_SITES:
+            raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
+                             f"N <= {measures.MAX_SITES}")
+    # build_ladder owns the checks on m >= 2, boundary and odd_wrap
+    lattices = [lattice.build_ladder(m, config.boundary, config.odd_wrap)
+                for m in sorted(config.sizes)]
     if config.surface_res < 2:
         raise ValueError(f"surface resolution {config.surface_res} < 2")
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
     report = EntanglementReport(config=config)
-    for m in sorted(config.sizes):
+    for lat in lattices:
         try:
-            report.rows.append(_run_size(m, config))
+            report.rows.append(_run_size(lat))
         except (ValueError, RuntimeError) as exc:  # one bad size must not sink the rest
-            report.failures.append((m, str(exc)))
+            report.failures.append((lat.m, str(exc)))
     fit_figures(report)
     if config.out_dir is not None:
         emit_csv(report, config.out_dir)

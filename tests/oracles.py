@@ -12,7 +12,8 @@ route, which shares the package's S_z-block eigensolve) instead of the
 spin-sector weight bound, the amplitude dump line by line instead of once
 per distinct value, the lattice symmetry group also by full enumeration
 instead of generators, the tangle from Wootters' concurrence instead of the
-Werner closed form, the cloning windows by grid scan and bisection instead
+Werner closed form, p_avg by one edge-list scan per site instead of one
+pass over the edges, the cloning windows by grid scan and bisection instead
 of closed forms, the monogamy surface by a scalar double loop, and its CSV
 one formatted line per sample row instead of one write per grid row.
 """
@@ -404,6 +405,22 @@ def rail_and_step_ps(lattice, fits):
     return rails, steps
 
 
+def reference_p_avg(lattice, fits):
+    """p_avg by the per-site route: degree-3 sites found one at a time, each
+    one's incident edges by a scan of the edge list, then the site average.
+
+    None when no site has degree 3.
+    """
+    regional = []
+    for site in lattice.sites:
+        incident = [e for e in lattice.edges if site in (e.a, e.b)]
+        if len(incident) == 3:
+            regional.append(float(np.mean([fits[e].p for e in incident])))
+    if not regional:
+        return None
+    return sum(regional) / len(regional)
+
+
 def oracle_bipartition_matrix(psi, mask):
     """psi as a (2^|mask|, 2^(n - |mask|)) matrix across `mask` | rest,
     assembled bit by bit from every basis index."""
@@ -693,3 +710,7 @@ for _m in (4, 6):
 # the published construction (periodic, twisted odd closure), N = 2m = 6..12
 PAPER_SIZES = ((3, "periodic", "twist"), (4, "periodic", "twist"),
                (5, "periodic", "twist"), (6, "periodic", "twist"))
+
+# every ladder configuration with N = 2m <= 16 sites
+CONFIGS = [(m, boundary, odd_wrap) for m in range(2, 9)
+           for boundary in ("open", "periodic") for odd_wrap in ("forbid", "twist")]

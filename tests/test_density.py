@@ -163,16 +163,29 @@ def test_regional_entanglement_values(ladder_state):
             continue
         lat, psi = ladder_state(m, b, w)
         fits, _ = edge_werner_parameters(lat, psi)
-        deg3 = [s for s in lat.sites if lat.degree(s) == 3]
-        got = sum(regional_entanglement(lat, fits, s) for s in deg3) / len(deg3)
+        got = regional_entanglement(lat, fits)
         assert abs(got - float(exp["p_avg"])) < 1e-11, (m, b, w)
 
 
-def test_regional_entanglement_rejects_wrong_degree(ladder_state):
+@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
+def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary,
+                                                               odd_wrap):
+    lat, psi = ladder_state(m, boundary, odd_wrap)
+    fits, _ = edge_werner_parameters(lat, psi)
+    assert regional_entanglement(lat, fits) == oracles.reference_p_avg(lat, fits)
+
+
+def test_regional_entanglement_skips_degree_two_sites(ladder_state):
     lat, psi = ladder_state(2, "open", "forbid")
     fits, _ = edge_werner_parameters(lat, psi)
-    with pytest.raises(ValueError):
-        regional_entanglement(lat, fits, 0)  # corner site, degree 2
+    assert regional_entanglement(lat, fits) is None  # every site is a corner
+    # open m = 3: the four corners have degree 2, the middle sites 1 and 4 degree 3
+    lat, psi = ladder_state(3, "open", "forbid")
+    fits, _ = edge_werner_parameters(lat, psi)
+    middle = [[fits[e].p for e in lat.edges if s in (e.a, e.b)] for s in (1, 4)]
+    assert [len(ps) for ps in middle] == [3, 3]
+    want = (float(np.mean(middle[0])) + float(np.mean(middle[1]))) / 2
+    assert regional_entanglement(lat, fits) == want
 
 
 def test_teleportation_fidelities():

@@ -14,10 +14,6 @@ import oracles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# every ladder configuration with N = 2m <= 16 sites
-CONFIGS = [(m, boundary, odd_wrap) for m in range(2, 9)
-           for boundary in ("open", "periodic") for odd_wrap in ("forbid", "twist")]
-
 
 def _covering_vector(covering, n):
     """One covering's product state, scattered from its nonzero entries."""
@@ -181,7 +177,7 @@ def test_dump_state_rejects_complex_input(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap", CONFIGS)
+@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
 def test_rvb_state_bit_identical_to_loop_sum(m, boundary, odd_wrap):
     lat = build_ladder(m, boundary, odd_wrap)
     want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)

@@ -191,6 +191,46 @@ DEFAULT_SWEEP_FIGURES = {
         "10,0.24893097169\n"
         "12,0.225555700263\n"),
 }
+# the same figures of `rvb-ladder sweep --boundary open`, whose corner sites
+# have degree 2 and are left out of p_avg
+DEFAULT_OPEN_SWEEP_FIGURES = {
+    "fig2_p_rail.csv": (
+        "n,p_r\n"
+        "6,0.454545454545\n"
+        "8,0.455782312925\n"
+        "10,0.427860696517\n"
+        "12,0.422274325909\n"),
+    "fig3_p_step.csv": (
+        "n,p_s\n"
+        "6,0.757575757576\n"
+        "8,0.714285714286\n"
+        "10,0.729353233831\n"
+        "12,0.721766314967\n"),
+    "fig4_p_avg.csv": (
+        "n,p_avg\n"
+        "6,0.515151515152\n"
+        "8,0.496598639456\n"
+        "10,0.498065229409\n"
+        "12,0.496287612349\n"),
+    "fig6_theta_max.csv": (
+        "n,theta_max\n"
+        "6,\n"
+        "8,0.481275373942\n"
+        "10,0.467368602335\n"
+        "12,0.474405719418\n"),
+    "fig7_pr_vs_ps.csv": (
+        "n,p_s,p_r\n"
+        "6,0.757575757576,0.454545454545\n"
+        "8,0.714285714286,0.455782312925\n"
+        "10,0.729353233831,0.427860696517\n"
+        "12,0.721766314967,0.422274325909\n"),
+    "fig8_ggm.csv": (
+        "n,ggm\n"
+        "6,0.136363636364\n"
+        "8,0.0622237788764\n"
+        "10,0.0903481388765\n"
+        "12,0.0783033175692\n"),
+}
 DEFAULT_SWEEP_DETAILS = {
     "detail/aggregates.csv": (
         "n,p_r,p_s,p_avg,F_r,F_s,F_avg\n"
@@ -300,6 +340,13 @@ def test_default_sweep_figure_bytes(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["sweep", "--out", str(out)]) == 0
     for name, text in DEFAULT_SWEEP_FIGURES.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+def test_default_open_sweep_figure_bytes(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--boundary", "open", "--out", str(out)]) == 0
+    for name, text in DEFAULT_OPEN_SWEEP_FIGURES.items():
         assert (out / name).read_bytes() == text.encode(), name
 
 
@@ -413,7 +460,7 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
     # every module that holds the function looks it up in its own namespace
     monkeypatch.setattr(sweep.lattice, "enumerate_coverings", counting)
     monkeypatch.setattr(sweep.state, "enumerate_coverings", counting)
-    row = sweep._run_size(5, RunConfig())
+    row = sweep._run_size(sweep.lattice.build_ladder(5, "periodic", "twist"))
     assert calls == [5]
     assert row.covering_count == 13
     assert row.state.tobytes() == rvb_ladder.rvb_state(row.lattice).tobytes()
@@ -445,27 +492,25 @@ def test_run_sweep_evaluates_total_spin_once_per_size(monkeypatch):
         assert row.ggm.total_spin_sq < 1e-10
 
 
-def test_count_mismatch_aborts_size(monkeypatch):
-    monkeypatch.setattr(sweep.lattice, "count_coverings", lambda lat: 999)
-    report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
-    assert report.rows == []
-    assert "mismatch" in report.failures[0][1]
-
-
-def test_run_sweep_validation():
+def test_run_sweep_validation(monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(), out_dir=None))
-    with pytest.raises(ValueError):
-        run_sweep(RunConfig(sizes=(1,), out_dir=None))
-    with pytest.raises(ValueError):
-        run_sweep(RunConfig(sizes=(11,), out_dir=None))  # 22 sites too large
-    with pytest.raises(ValueError):
-        run_sweep(RunConfig(sizes=(3,), boundary="twisted", out_dir=None))
+    # m = 11 fails the MAX_SITES check, m = 1 and the bad names fail in
+    # build_ladder; all of them before any size runs
+    for bad in (RunConfig(sizes=(1,), out_dir=None),
+                RunConfig(sizes=(11,), out_dir=None),  # 22 sites too large
+                RunConfig(sizes=(3,), boundary="twisted", out_dir=None),
+                RunConfig(sizes=(3,), odd_wrap="bogus", out_dir=None)):
+        with pytest.raises(ValueError):
+            run_sweep(bad)
+    assert ran == []
 
 
 def test_run_sweep_rejects_repeated_sizes(tmp_path, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
     out = tmp_path / "o"
     with pytest.raises(ValueError, match="repeated size"):
         run_sweep(RunConfig(sizes=(3, 3, 4, 5), out_dir=out))
@@ -481,7 +526,7 @@ def _unusable_out_dirs(tmp_path):
 
 def test_run_sweep_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
     for out in _unusable_out_dirs(tmp_path):
         with pytest.raises(OSError):
             run_sweep(RunConfig(sizes=(3,), out_dir=out))
@@ -490,7 +535,7 @@ def test_run_sweep_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeyp
 
 def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, capsys):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda m, config: ran.append(m))
+    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
     for out in _unusable_out_dirs(tmp_path):
         assert cli.main(["sweep", "--sizes", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -517,9 +562,12 @@ def test_cli_sweep_success(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_sizes(tmp_path, capsys):
-    code = cli.main(["sweep", "--sizes", "11", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for sizes in ("1", "11"):
+        out = tmp_path / sizes
+        code = cli.main(["sweep", "--sizes", sizes, "--out", str(out)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_rejects_bad_surface_res_before_running(tmp_path, capsys):
@@ -569,3 +617,7 @@ def test_cli_flags_reach_config(tmp_path, monkeypatch):
     assert cfg.odd_wrap == "forbid"
     assert cfg.dump_states is True
     assert cfg.surface_res == 50
+    # without flags the CLI passes the library defaults
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", "--out", out]) == 0
+    assert seen["config"] == RunConfig(out_dir=out)
