@@ -10,8 +10,7 @@ emit one CSV per published figure.
 """
 
 from .density import (EdgeAggregates, WernerFit, edge_werner_parameters,
-                      partial_trace, regional_entanglement,
-                      teleportation_fidelities, werner_parameter)
+                      partial_trace, werner_parameter)
 from .lattice import (Edge, LadderLattice, build_ladder, count_coverings,
                       enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
@@ -27,7 +26,7 @@ __all__ = [
     "rvb_state", "total_spin_squared",
     "dump_state",
     "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",
-    "edge_werner_parameters", "regional_entanglement", "teleportation_fidelities",
+    "edge_werner_parameters",
     "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",
     "monogamy_surface_sample", "CloningBoundRecord", "cloning_theta_sets",

@@ -63,7 +63,7 @@ def main(argv=None):
     for row in report.rows:
         print(f"{row.n:>4} {row.covering_count:>10} "
               f"{row.aggregates.p_r:>9.6f} {row.aggregates.p_s:>9.6f} "
-              f"{_fmt(row.p_avg):>9} {_fmt(row.cloning.theta_max):>10} "
+              f"{_fmt(row.aggregates.p_avg):>9} {_fmt(row.cloning.theta_max):>10} "
               f"{row.ggm.value:>9.6f} "
               f"{'ok' if row.monogamy.satisfied else 'VIOLATED':>9}")
     for m, message in report.failures:

@@ -1,4 +1,4 @@
-"""Reduced density matrices, Werner parameters and teleportation fidelities.
+"""Reduced density matrices, Werner parameters and their edge averages.
 
 A rotationally invariant two-qubit state is a Werner state
 rho(p) = p |s><s| + (1 - p)/4 I with -1/3 <= p <= 1, entangled iff p > 1/3.
@@ -77,43 +77,28 @@ def werner_parameter(rho):
 class EdgeAggregates:
     p_r: float
     p_s: float
+    p_avg: object  # float, or None when no site has degree 3
 
 
 def edge_werner_parameters(lattice, state):
     """Werner fit for every edge (dimer-forbidden wraps included, for the record).
 
     Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
-    p_r = mean over dimer-allowed rails, p_s = mean over steps.
+    p_r = mean over dimer-allowed rails, p_s = mean over steps, and the
+    regional p_avg = mean over degree-3 sites of the mean p of each one's
+    three edges, taken in edge order. Degree-2 corners of open ladders are
+    skipped; p_avg is None when no site has degree 3 (the open m = 2 ladder).
     """
     fits = {}
     for e in lattice.edges:
         fits[e] = werner_parameter(partial_trace(state, [e.a, e.b]))
     rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
     step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
-    return fits, EdgeAggregates(p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)))
-
-
-def regional_entanglement(lattice, fits):
-    """p_avg: the mean over degree-3 sites of the mean p of each one's three edges.
-
-    Edges are taken in edge order. Degree-2 corners of open ladders are
-    skipped; None when no site has degree 3 (the open m = 2 ladder).
-    """
     incident = [[] for _ in lattice.sites]
     for e in lattice.edges:
         incident[e.a].append(fits[e].p)
         incident[e.b].append(fits[e].p)
     regional = [float(np.mean(ps)) for ps in incident if len(ps) == 3]
-    return sum(regional) / len(regional) if regional else None
-
-
-def teleportation_fidelities(p_r, p_s):
-    """Fidelities (F_r, F_s, F_avg) of teleporting through the edge states.
-
-    F = (p + 1)/2 per edge; the average weighs the two rails against one step,
-    so F_avg = (p_avg + 1)/2 with p_avg = (2 p_r + p_s)/3.
-    """
-    F_r = (p_r + 1.0) / 2.0
-    F_s = (p_s + 1.0) / 2.0
-    F_avg = (2.0 * F_r + F_s) / 3.0
-    return F_r, F_s, F_avg
+    p_avg = sum(regional) / len(regional) if regional else None
+    return fits, EdgeAggregates(p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)),
+                                p_avg=p_avg)

@@ -76,8 +76,8 @@ def monogamy_surface_sample(grid_resolution):
 
 @dataclass(frozen=True)
 class CloningBoundRecord:
-    s1: tuple  # the rail window as () or ((lo, hi),)
-    s2: tuple  # the step window, likewise
+    s1: object  # the rail window (lo, hi), or None when empty
+    s2: object  # the step window, likewise
     theta_max: object  # float, or None for an empty intersection
     margin: object  # min(hi1, hi2) - max(lo1, lo2), or None if a window is empty
 
@@ -97,16 +97,14 @@ def cloning_theta_sets(p_r, p_s):
     """
     x = max(2.0 * p_r - 1.0 / 3.0, -1.0)
     y = min(3.0 * (1.0 - p_s) / 4.0, 1.0)
-    s1 = s2 = ()
+    s1 = s2 = theta_max = margin = None
     if x <= 1.0:
         a = math.asin(x)
-        s1 = ((max((_PHI + a) / 2.0, 0.0),
-               min((_PHI + math.pi - a) / 2.0, math.pi / 2.0)),)
+        s1 = (max((_PHI + a) / 2.0, 0.0), min((_PHI + math.pi - a) / 2.0, math.pi / 2.0))
     if y >= 0.0:
-        s2 = ((0.0, math.asin(math.sqrt(y))),)
-    theta_max = margin = None
+        s2 = (0.0, math.asin(math.sqrt(y)))
     if s1 and s2:
-        lo, hi = max(s1[0][0], s2[0][0]), min(s1[0][1], s2[0][1])
+        lo, hi = max(s1[0], s2[0]), min(s1[1], s2[1])
         margin = hi - lo
         if margin >= -_TOUCH_TOL:
             theta_max = max(lo, hi)

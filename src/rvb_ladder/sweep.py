@@ -23,10 +23,6 @@ class SizeRow:
     covering_count: int
     fits: dict  # Edge -> WernerFit
     aggregates: density.EdgeAggregates
-    p_avg: object  # float, or None when no degree-3 site exists
-    F_r: float
-    F_s: float
-    F_avg: float
     monogamy: measures.MonogamyRecord
     cloning: measures.CloningBoundRecord
     ggm: measures.GgmRecord
@@ -49,15 +45,13 @@ def _run_size(lat):
     gg = measures.ggm(psi)
 
     fits, agg = density.edge_werner_parameters(lat, psi)
-    F_r, F_s, F_avg = density.teleportation_fidelities(agg.p_r, agg.p_s)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
     # columns with both of their sites on the GGM mask's side
     whole_columns = sum((gg.mask >> c) & (gg.mask >> (c + lat.m)) & 1 for c in range(lat.m))
 
     return SizeRow(m=lat.m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
-                   aggregates=agg, p_avg=density.regional_entanglement(lat, fits),
-                   F_r=F_r, F_s=F_s, F_avg=F_avg, monogamy=mono, cloning=clone, ggm=gg,
+                   aggregates=agg, monogamy=mono, cloning=clone, ggm=gg,
                    steps_on_a_side=whole_columns, lattice=lat, state=psi)
 
 
@@ -83,7 +77,7 @@ def run_sweep(config):
     for lat in lattices:
         try:
             report.rows.append(_run_size(lat))
-        except (ValueError, RuntimeError) as exc:  # one bad size must not sink the rest
+        except ValueError as exc:  # one bad size must not sink the rest
             report.failures.append((lat.m, str(exc)))
     fit_figures(report)
     if config.out_dir is not None:
@@ -151,8 +145,8 @@ def _output_dirs(out_dir):
     return out, detail
 
 
-def _intervals_str(intervals):
-    return ";".join(f"{format(lo, '.12g')}:{format(hi, '.12g')}" for lo, hi in intervals)
+def _interval_str(interval):
+    return "" if interval is None else "{:.12g}:{:.12g}".format(*interval)
 
 
 def emit_csv(report, out_dir):
@@ -171,7 +165,7 @@ def emit_csv(report, out_dir):
     _write_csv(out / "fig3_p_step.csv", ["n", "p_s"],
                [(r.n, r.aggregates.p_s) for r in rows])
     _write_csv(out / "fig4_p_avg.csv", ["n", "p_avg"],
-               [(r.n, r.p_avg) for r in rows])
+               [(r.n, r.aggregates.p_avg) for r in rows])
     _write_fig5(out / "fig5_monogamy_surface.csv", cfg.surface_res)
     _write_csv(out / "fig6_theta_max.csv", ["n", "theta_max"],
                [(r.n, r.cloning.theta_max) for r in rows])
@@ -189,10 +183,13 @@ def emit_csv(report, out_dir):
     _write_csv(detail / "edges.csv",
                ["n", "m", "boundary", "edge_a", "edge_b", "kind", "allowed", "p", "residual"],
                edge_rows)
+    agg_rows = []
+    for r in rows:
+        ps = (r.aggregates.p_r, r.aggregates.p_s, r.aggregates.p_avg)
+        # teleportation fidelity F = (p + 1)/2 through a Werner edge state
+        agg_rows.append((r.n, *ps, *(None if p is None else (p + 1.0) / 2.0 for p in ps)))
     _write_csv(detail / "aggregates.csv",
-               ["n", "p_r", "p_s", "p_avg", "F_r", "F_s", "F_avg"],
-               [(r.n, r.aggregates.p_r, r.aggregates.p_s, r.p_avg, r.F_r, r.F_s, r.F_avg)
-                for r in rows])
+               ["n", "p_r", "p_s", "p_avg", "F_r", "F_s", "F_avg"], agg_rows)
     _write_csv(detail / "monogamy.csv",
                ["n", "p_r", "p_s", "lhs", "tangle_rail", "tangle_step", "satisfied"],
                [(r.n, r.aggregates.p_r, r.aggregates.p_s, r.monogamy.lhs,
@@ -201,7 +198,7 @@ def emit_csv(report, out_dir):
     _write_csv(detail / "cloning.csv",
                ["n", "p_r", "p_s", "theta_max", "s1_intervals", "s2_intervals", "margin"],
                [(r.n, r.aggregates.p_r, r.aggregates.p_s, r.cloning.theta_max,
-                 _intervals_str(r.cloning.s1), _intervals_str(r.cloning.s2),
+                 _interval_str(r.cloning.s1), _interval_str(r.cloning.s2),
                  r.cloning.margin)
                 for r in rows])
     _write_csv(detail / "ggm.csv",

@@ -99,7 +99,7 @@ def test_criterion_1_trend_reproduction(paper_run, extended_run):
         problems.append(f"only {len(trend)} trend sizes, need 4")
     p_r = [r.aggregates.p_r for r in trend]
     p_s = [r.aggregates.p_s for r in trend]
-    p_avg = [r.p_avg for r in trend]
+    p_avg = [r.aggregates.p_avg for r in trend]
     ggm_vals = [r.ggm.value for r in trend]
     if not _strictly(p_r, "decreasing"):
         problems.append(f"p_r not strictly decreasing: {p_r}")

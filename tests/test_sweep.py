@@ -31,7 +31,7 @@ def test_rows_sorted_and_complete(twist_report):
         assert row.covering_count == exp["count"]
         assert abs(row.aggregates.p_r - float(exp["p_r"])) < 1e-11
         assert abs(row.aggregates.p_s - float(exp["p_s"])) < 1e-11
-        assert abs(row.p_avg - float(exp["p_avg"])) < 1e-11
+        assert abs(row.aggregates.p_avg - float(exp["p_avg"])) < 1e-11
         assert abs(row.ggm.value - float(exp["ggm"])) < 1e-11
         assert row.cloning.theta_max == pytest.approx(exp["theta"], abs=2e-9)
         assert row.monogamy.satisfied
@@ -39,18 +39,45 @@ def test_rows_sorted_and_complete(twist_report):
         assert oracles.column_aligned_tied_mask(row.ggm.tied_masks, row.m) is not None
 
 
-def test_fidelities_consistent(twist_report):
+def _written_fidelities(out):
+    """{n: (F_r, F_s, F_avg) cells} of detail/aggregates.csv under `out`."""
+    lines = (out / "detail" / "aggregates.csv").read_text().splitlines()
+    assert lines[0] == "n,p_r,p_s,p_avg,F_r,F_s,F_avg"
+    return {int(line.split(",")[0]): tuple(line.split(",")[4:]) for line in lines[1:]}
+
+
+def test_fidelities_consistent(twist_report, tmp_path):
+    sweep.emit_csv(twist_report, tmp_path)
+    written = _written_fidelities(tmp_path)
     for row in twist_report.rows:
-        assert row.F_r == pytest.approx((row.aggregates.p_r + 1.0) / 2.0)
-        assert row.F_s == pytest.approx((row.aggregates.p_s + 1.0) / 2.0)
-        assert row.F_avg == pytest.approx((2.0 * row.F_r + row.F_s) / 3.0)
+        F_r, F_s, F_avg = (float(cell) for cell in written[row.n])
+        assert F_r == pytest.approx((row.aggregates.p_r + 1.0) / 2.0)
+        assert F_s == pytest.approx((row.aggregates.p_s + 1.0) / 2.0)
+        assert F_avg == pytest.approx((2.0 * F_r + F_s) / 3.0)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("odd_wrap", ["forbid", "twist"])
+def test_written_fidelities_are_one_route_of_the_site_average(tmp_path, boundary, odd_wrap):
+    # F = (p + 1)/2 of the record's own p_r, p_s and p_avg, whatever the degrees
+    report = run_sweep(RunConfig(sizes=tuple(range(2, 9)), boundary=boundary,
+                                 odd_wrap=odd_wrap, out_dir=tmp_path, surface_res=2))
+    assert report.failures == []
+    written = _written_fidelities(tmp_path)
+    assert sorted(written) == [r.n for r in report.rows] == list(range(4, 17, 2))
+    for row in report.rows:
+        agg = row.aggregates
+        want = tuple("" if p is None else format((p + 1.0) / 2.0, ".12g")
+                     for p in (agg.p_r, agg.p_s, agg.p_avg))
+        assert written[row.n] == want, (row.n, boundary, odd_wrap)
 
 
 def test_row_cross_identities(twist_report):
     for row in twist_report.rows:
-        # every site touches two rails and one step, so the regional mean
-        # and the averaged fidelity describe the same quantity
-        assert row.F_avg == pytest.approx((row.p_avg + 1.0) / 2.0, abs=1e-12)
+        # every site touches two rails and one step, so the site average
+        # weighs the two kinds of bond 2 : 1
+        agg = row.aggregates
+        assert abs(agg.p_avg - (2.0 * agg.p_r + agg.p_s) / 3.0) <= 1e-12
         assert row.cloning.theta_max is not None
         assert 0.0 <= row.cloning.theta_max <= math.pi / 2.0
         assert 0.0 <= row.ggm.value < 1.0
@@ -386,7 +413,9 @@ def test_per_size_failure_isolation(monkeypatch):
 
     def failing_ggm(state, **kwargs):
         if np.asarray(state).size == 1 << 8:
-            raise RuntimeError("injected failure")
+            # the all-up product state: ggm's own "not a total singlet" error
+            state = np.zeros(1 << 8)
+            state[0] = 1.0
         return real_ggm(state, **kwargs)
 
     monkeypatch.setattr(measures, "ggm", failing_ggm)
@@ -394,20 +423,21 @@ def test_per_size_failure_isolation(monkeypatch):
     assert [r.n for r in report.rows] == [6, 10]
     assert len(report.failures) == 1
     assert report.failures[0][0] == 4
-    assert "injected failure" in report.failures[0][1]
+    assert "not a total singlet" in report.failures[0][1]
 
 
 def test_programming_errors_propagate(monkeypatch):
     real_ggm = measures.ggm
+    # RuntimeError and its subclass NotImplementedError flag bugs here too
+    for error in (TypeError, RuntimeError, NotImplementedError):
+        def broken_ggm(state, **kwargs):
+            if np.asarray(state).size == 1 << 8:
+                raise error("injected bug")
+            return real_ggm(state, **kwargs)
 
-    def broken_ggm(state, **kwargs):
-        if np.asarray(state).size == 1 << 8:
-            raise TypeError("injected bug")
-        return real_ggm(state, **kwargs)
-
-    monkeypatch.setattr(measures, "ggm", broken_ggm)
-    with pytest.raises(TypeError, match="injected bug"):
-        run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=None))
+        monkeypatch.setattr(measures, "ggm", broken_ggm)
+        with pytest.raises(error, match="injected bug"):
+            run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=None))
 
 
 def test_sixteen_site_ladder_runs():
