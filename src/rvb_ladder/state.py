@@ -24,20 +24,21 @@ def site_count(psi):
     return n
 
 
-def _covering_terms(covering):
-    """(indices, amplitudes) of the 2^k nonzero entries of one k-dimer covering.
+def _covering_terms(coverings):
+    """(indices, amplitudes) of the nonzero entries of C coverings of k dimers each.
 
-    Orientation bit t of the entry picks the minus branch (down on the
-    A-site) of the t-th dimer; entries come in orientation order.
+    Covering c owns entries c 2^k to (c + 1) 2^k - 1, in orientation order:
+    orientation bit t picks the minus branch (down on the A-site) of the
+    t-th dimer. All coverings share one sign pattern.
     """
-    pairs = list(covering)
-    k = len(pairs)
-    a_bit = np.array([1 << a for a, _ in pairs], dtype=np.int64)
-    b_bit = np.array([1 << b for _, b in pairs], dtype=np.int64)
+    pairs = np.asarray(coverings, dtype=np.int64)  # (C, k, 2)
+    k = pairs.shape[1]
+    a_bit = np.left_shift(1, pairs[:, :, 0])
+    b_bit = np.left_shift(1, pairs[:, :, 1])
     flip = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    indices = np.where(flip, a_bit, b_bit).sum(axis=1)
+    indices = b_bit.sum(axis=1)[:, None] + (a_bit - b_bit) @ flip.T
     signs = 1 - 2 * (flip.sum(axis=1) & 1)
-    return indices, signs * INV_SQRT2 ** k
+    return indices.ravel(), np.tile(signs * INV_SQRT2 ** k, len(pairs))
 
 
 def rvb_state(lattice):
@@ -50,9 +51,8 @@ def rvb_state(lattice):
     coverings = enumerate_coverings(lattice)
     if not coverings:
         raise ValueError(f"lattice m={lattice.m} {lattice.boundary} has no dimer covering")
-    indices, amps = zip(*(_covering_terms(cov) for cov in coverings))
-    psi = np.bincount(np.concatenate(indices), weights=np.concatenate(amps),
-                      minlength=1 << lattice.n)
+    indices, amps = _covering_terms(coverings)
+    psi = np.bincount(indices, weights=amps, minlength=1 << lattice.n)
     psi /= np.linalg.norm(psi)
     return psi
 
@@ -71,11 +71,11 @@ def total_spin_squared(state):
         lead = (slice(None),) * axis
         raised[lead + (0,)] += tensor[lead + (1,)]
 
-    # S_z is diagonal, a sum of +-1/2 per site (up +, down -)
-    sz = np.zeros(1)
-    for _ in range(n):
-        sz = np.add.outer(sz, (0.5, -0.5)).ravel()
-    weight = (psi * psi.conj()).real
+    # S_z is diagonal: n/2 minus the number of down spins, read on the support
+    support = np.flatnonzero(psi)
+    sz = n / 2 - sum((support >> k) & 1 for k in range(n))
+    amps = psi[support]
+    weight = (amps * amps.conj()).real
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
 
@@ -91,8 +91,12 @@ def dump_state(state, path, m, boundary):
     psi = np.asarray(state, dtype=np.float64)
     n = site_count(psi)
     bits = np.ascontiguousarray(psi).view(np.int64)
-    values = np.unique(bits)
+    # only the support is sorted; -0.0 has a nonzero bit pattern, so it is in it
+    support = np.flatnonzero(bits)
+    values = np.unique(np.append(bits[support], 0))
+    which = np.full(bits.size, np.searchsorted(values, 0))
+    which[support] = np.searchsorted(values, bits[support])
     text = np.array([f"{float(amp):.17g}\n" for amp in values.view(np.float64)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
-        fh.write("".join(text[np.searchsorted(values, bits)].tolist()))
+        fh.write("".join(text[which].tolist()))

@@ -17,7 +17,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _covering_vector(covering, n):
     """One covering's product state, scattered from its nonzero entries."""
-    indices, amps = _covering_terms(covering)
+    indices, amps = _covering_terms([covering])
     psi = np.zeros(1 << n)
     psi[indices] = amps
     return psi
@@ -172,6 +172,34 @@ def test_rvb_state_bit_identical_to_loop_sum(m, boundary, odd_wrap):
     assert rvb_state(lat).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
+def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, odd_wrap):
+    coverings = enumerate_coverings(build_ladder(m, boundary, odd_wrap))
+    indices, amps = _covering_terms(coverings)
+    one_by_one = [_covering_terms([cov]) for cov in coverings]
+    assert np.array_equal(indices, np.concatenate([i for i, _ in one_by_one]))
+    assert amps.tobytes() == np.concatenate([a for _, a in one_by_one]).tobytes()
+
+
+@pytest.mark.parametrize("m, boundary, odd_wrap",
+                         [c for c in oracles.CONFIGS if c[0] <= 6])  # N <= 12
+def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(
+        m, boundary, odd_wrap, ladder_state):
+    _, psi = ladder_state(m, boundary, odd_wrap)
+    got = total_spin_squared(psi)
+    assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
+
+
+def test_total_spin_squared_signed_zeros_and_subnormals():
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal(256)
+    psi[rng.permutation(256)[:200]] = -0.0
+    psi[[7, 77]] = 5e-324, -2.5e-310
+    psi /= np.linalg.norm(psi)
+    got = total_spin_squared(psi)
+    assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_total_spin_squared_matches_pauli_sum_oracle(n):
     rng = np.random.default_rng(100 + n)
@@ -210,3 +238,25 @@ def test_dump_state_bytes_keep_signed_zeros_and_subnormals(tmp_path):
     lines = got.decode().splitlines()
     assert lines[0] == "rvb n=10 boundary=open m=5"
     assert (lines[4], lines[501], lines[1001]) == ("0", "-0", "4.9406564584124654e-324")
+
+
+def test_dump_state_bytes_without_positive_zero(tmp_path):
+    rng = np.random.default_rng(13)
+    psi = rng.standard_normal(256)
+    psi[[0, 9, 255]] = -0.0, 5e-324, -5e-324
+    assert not np.any(psi.view(np.int64) == 0)
+    dump_state(psi, tmp_path / "got.txt", 4, "periodic")
+    oracles.reference_dump(psi, tmp_path / "want.txt", 4, "periodic")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_dump_state_bytes_mostly_signed_zeros(tmp_path):
+    psi = np.zeros(256)
+    psi[np.random.default_rng(14).permutation(256)[:120]] = -0.0
+    psi[[0, 3, 100, 255]] = 0.25, -0.25, 5e-324, 0.25
+    dump_state(psi, tmp_path / "got.txt", 4, "open")
+    oracles.reference_dump(psi, tmp_path / "want.txt", 4, "open")
+    got = (tmp_path / "got.txt").read_bytes()
+    assert got == (tmp_path / "want.txt").read_bytes()
+    assert set(got.decode().splitlines()[1:]) == {"0", "-0", "0.25", "-0.25",
+                                                  "4.9406564584124654e-324"}
