@@ -97,6 +97,6 @@ def dump_state(state, path, m, boundary):
     which = np.full(bits.size, np.searchsorted(values, 0))
     which[support] = np.searchsorted(values, bits[support])
     text = np.array([f"{float(amp):.17g}\n" for amp in values.view(np.float64)], dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
         fh.write("".join(text[which].tolist()))

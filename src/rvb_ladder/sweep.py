@@ -124,17 +124,23 @@ def _write_fig5(path, grid_resolution):
     """The monogamy surface, one write per grid row (one p_r).
 
     Same bytes as `_write_csv` on rows of floats. Both columns sample one
-    axis, so its values (the p_s of the first grid row) and the surface
-    values are each formatted once, with `_fmt`'s ".12g".
+    axis, so its values (the p_s of the first grid row) are formatted once,
+    with `_fmt`'s ".12g", into one bytes row template
+    `b"\\0,<p_s>,%.12g\\n"` per axis value. Each grid row puts its p_r text
+    in place of the NUL marks and formats its surface values with one `%`.
+    Bytes `%.12g` and `format(v, ".12g")` call the same CPython routine
+    (`PyOS_double_to_string`, mode 'g', precision 12), so the text is
+    `_fmt`'s; the axis text holds no `%` or NUL to be misread.
     """
     surface = measures.monogamy_surface_sample(grid_resolution)
-    axis = [format(v, ".12g") for v in surface[:grid_resolution, 1].tolist()]
+    axis = [format(v, ".12g").encode() for v in surface[:grid_resolution, 1].tolist()]
+    template = b"".join(b"\0," + p_s + b",%.12g\n" for p_s in axis)
     values = surface[:, 2].tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p_r,p_s,surface_value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"p_r,p_s,surface_value\n")
         for i, p_r in enumerate(axis):
             row = values[i * grid_resolution:(i + 1) * grid_resolution]
-            fh.write("".join([f"{p_r},{p_s},{v:.12g}\n" for p_s, v in zip(axis, row)]))
+            fh.write(template.replace(b"\0", p_r) % tuple(row))
 
 
 def _output_dirs(out_dir):
@@ -215,7 +221,7 @@ def emit_csv(report, out_dir):
         fit_rows.append((name, fit.model, coeff[0], coeff[1], coeff[2], fit.mse))
     _write_csv(detail / "fits.csv", ["figure", "model", "c0", "c1", "c2", "mse"], fit_rows)
 
-    with open(detail / "config.txt", "w", encoding="utf-8") as fh:
+    with open(detail / "config.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"sizes={','.join(str(m) for m in sorted(cfg.sizes))}\n"
                  f"boundary={cfg.boundary}\nodd_wrap={cfg.odd_wrap}\n"
                  f"surface_res={cfg.surface_res}\ndump_states={cfg.dump_states}\n")

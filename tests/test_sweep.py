@@ -1,13 +1,17 @@
 """End-to-end sweep pipeline, CSV emission, determinism, CLI."""
 
+import builtins
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rvb_ladder
 from rvb_ladder import EntanglementReport, RunConfig, run_sweep
-from rvb_ladder import cli, measures, sweep
+from rvb_ladder import cli, measures, state, sweep
 
 import oracles
 
@@ -399,6 +403,25 @@ def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
         assert got == want.read_bytes(), res
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 64))
+def test_fig5_bytes_match_the_row_by_row_reference_at_any_resolution(tmp_path_factory, res):
+    tmp = tmp_path_factory.mktemp(f"fig5-{res}")
+    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=res)), tmp / "o")
+    want = tmp / "reference.csv"
+    oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
+    assert (tmp / "o" / "fig5_monogamy_surface.csv").read_bytes() == want.read_bytes()
+
+
+# fig5 formats its surface values with bytes %, the other cells with format()
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(-0.0)
+@example(5e-324)
+def test_bytes_percent_g_formats_as_format_g(x):
+    assert b"%.12g" % x == format(x, ".12g").encode()
+
+
 def test_dump_states_flag(tmp_path):
     out = tmp_path / "out"
     run_sweep(RunConfig(sizes=(3,), out_dir=out, dump_states=True,
@@ -406,6 +429,24 @@ def test_dump_states_flag(tmp_path):
     dump = out / "state_n6.txt"
     assert dump.exists()
     assert dump.read_text().splitlines()[0] == "rvb n=6 boundary=periodic m=3"
+
+
+def test_every_written_text_file_pins_its_line_ending(tmp_path, monkeypatch):
+    # text mode without newline="\n" writes os.linesep, "\r\n" on some systems
+    opened = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode, kwargs.get("newline")))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    for module in (sweep, state):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    run_sweep(RunConfig(sizes=(3,), dump_states=True, surface_res=5, out_dir=tmp_path / "o"))
+    names = {name for name, _, _ in opened}
+    assert {"config.txt", "state_n6.txt", "fig5_monogamy_surface.csv", "edges.csv"} <= names
+    for name, mode, newline in opened:
+        if set(mode) & set("wax+"):
+            assert "b" in mode or newline == "\n", (name, mode, newline)
 
 
 def test_per_size_failure_isolation(monkeypatch):
