@@ -10,7 +10,7 @@ emit one CSV per published figure.
 """
 
 from .density import (EdgeAggregates, WernerFit, edge_werner_parameters,
-                      partial_trace, werner_parameter)
+                      werner_parameter)
 from .lattice import (Edge, LadderLattice, build_ladder, count_coverings,
                       enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
@@ -25,7 +25,7 @@ __all__ = [
     "count_coverings",
     "rvb_state", "total_spin_squared",
     "dump_state",
-    "partial_trace", "WernerFit", "werner_parameter", "EdgeAggregates",
+    "WernerFit", "werner_parameter", "EdgeAggregates",
     "edge_werner_parameters",
     "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",

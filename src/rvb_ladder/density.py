@@ -1,4 +1,4 @@
-"""Reduced density matrices, Werner parameters and their edge averages.
+"""Two-site marginals read off the support, Werner fits and their edge averages.
 
 A rotationally invariant two-qubit state is a Werner state
 rho(p) = p |s><s| + (1 - p)/4 I with -1/3 <= p <= 1, entangled iff p > 1/3.
@@ -14,33 +14,11 @@ import numpy as np
 from .state import INV_SQRT2, site_count
 
 WERNER_TOL = 1e-8
-MAX_KEPT_SITES = 12  # memory guard: a 2^12 x 2^12 float64 matrix is 128 MiB
 
-
-def partial_trace(state, keep):
-    """Trace out all sites except `keep` (ordered list of site ids).
-
-    Row/column index of the result uses keep-list order with keep[0] as the
-    least significant bit, matching the global basis convention.
-    """
-    psi = np.asarray(state)
-    n = site_count(psi)
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate sites in keep: {keep}")
-    if any(not 0 <= s < n for s in keep):
-        raise ValueError(f"keep sites {keep} out of range for n={n}")
-    if len(keep) > MAX_KEPT_SITES:
-        raise ValueError(f"refusing to build a reduced matrix above {MAX_KEPT_SITES} sites")
-
-    kept = set(keep)
-    rest = [s for s in range(n) if s not in kept]
-    # axis of site k in the reshaped tensor is n-1-k; most significant first
-    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
-    mat = psi.reshape([2] * n).transpose(perm).reshape(1 << len(keep), -1)
-    return mat @ mat.conj().T
+# reduced basis: index = s_a + 2 s_b, a first (least significant)
+_SINGLET = np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
+_SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
+_IDENTITY = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -50,25 +28,19 @@ class WernerFit:
     werner_ok: bool = True  # residual within WERNER_TOL
 
 
-def _singlet_vector():
-    # reduced basis: index = s_a + 2 s_b, a first (least significant)
-    return np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
-
-
 def werner_parameter(rho):
     """Werner parameter of a two-site marginal.
 
-    `rho` must be partial_trace(state, [a, b]) for the edge's A site a and
-    B site b, so that the A site is the least significant reduced index; the
-    directed singlet of that orientation defines the singlet fraction.
+    `rho` is the reduced density matrix of the edge's A site a and B site b,
+    with the A site the least significant reduced index; the directed
+    singlet of that orientation defines the singlet fraction.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    s = _singlet_vector()
-    F = float(np.real(s.conj() @ rho @ s))
+    F = float(np.real(_SINGLET @ rho @ _SINGLET))
     p = (4.0 * F - 1.0) / 3.0
-    model = p * np.outer(s, s) + (1.0 - p) / 4.0 * np.eye(4)
+    model = p * _SINGLET_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY
     residual = float(np.max(np.abs(rho - model)))
     return WernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
 
@@ -80,6 +52,26 @@ class EdgeAggregates:
     p_avg: object  # float, or None when no site has degree 3
 
 
+def _pattern_weights(support, weight, n):
+    """(P00, P01, P11) of the support, each an (n, n) matrix.
+
+    P_ij[a, b] is the sum of the weights |psi(x)|^2 over the support indices
+    x with x_a = i and x_b = j; P10 is P01 transposed. Each entry is its own
+    weighted sum over the (n, s) bit table of the support. Raises ValueError
+    when the support spans more than one S_z sector.
+    """
+    bits = ((support >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, s)
+    down = bits.sum(axis=0)
+    if down.size and down.min() != down.max():
+        raise ValueError("state mixes S_z sectors: its two-site marginals are not S_z blocks")
+    weighted = bits * weight
+    p11 = weighted @ bits.T
+    np.subtract(weight, weighted, out=weighted)  # exact: weight where x = 0, else 0
+    p01 = weighted @ bits.T
+    np.subtract(1.0, bits, out=bits)
+    return weighted @ bits.T, p01, p11
+
+
 def edge_werner_parameters(lattice, state):
     """Werner fit for every edge (dimer-forbidden wraps included, for the record).
 
@@ -88,10 +80,31 @@ def edge_werner_parameters(lattice, state):
     regional p_avg = mean over degree-3 sites of the mean p of each one's
     three edges, taken in edge order. Degree-2 corners of open ladders are
     skipped; p_avg is None when no site has degree 3 (the open m = 2 ladder).
+
+    Each marginal is read off the support, the nonzero amplitudes. The state
+    must lie in one S_z sector, as every dimer covering does (S_z = 0), else
+    ValueError. Then the ten entries that change the pair's S_z are exactly
+    zero; the others are the four pattern weights on the diagonal and the
+    coherence rho[1, 2] = conj(rho[2, 1]). The whole 4 x 4 matrix goes to
+    `werner_parameter`, so the residual still covers all 16 entries.
     """
+    psi = np.asarray(state)
+    n = site_count(psi)
+    support = np.flatnonzero(psi)
+    amps = psi[support]
+    p00, p01, p11 = _pattern_weights(support, (amps * amps.conj()).real, n)
     fits = {}
     for e in lattice.edges:
-        fits[e] = werner_parameter(partial_trace(state, [e.a, e.b]))
+        a, b = e.a, e.b
+        flip = (1 << a) | (1 << b)
+        # rows with x_a = 1; where x_b = 1 too, x ^ flip leaves the sector and reads 0
+        rows = np.flatnonzero(support & (1 << a))
+        coherence = np.vdot(psi[support[rows] ^ flip], amps[rows])
+        rho = np.array([[p00[a, b], 0.0, 0.0, 0.0],
+                        [0.0, p01[b, a], coherence, 0.0],
+                        [0.0, coherence.conjugate(), p01[a, b], 0.0],
+                        [0.0, 0.0, 0.0, p11[a, b]]])
+        fits[e] = werner_parameter(rho)
     rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
     step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
     incident = [[] for _ in lattice.sites]

@@ -83,20 +83,23 @@ def dump_state(state, path, m, boundary):
     """Write amplitudes in index order, one per line, after a header line.
 
     Each distinct amplitude is formatted once. Distinct means a distinct
-    float64 bit pattern, so 0.0 and -0.0 keep their own text. A complex
-    vector raises ValueError: the format has no room for imaginary parts.
+    float64 bit pattern, so 0.0 and -0.0 keep their own text. Only the
+    support is read: the lines between two of its entries are runs of "0".
+    A complex vector raises ValueError: the format has no room for
+    imaginary parts.
     """
     if np.iscomplexobj(state):
         raise ValueError("cannot dump a complex state: amplitudes are written as reals")
     psi = np.asarray(state, dtype=np.float64)
     n = site_count(psi)
     bits = np.ascontiguousarray(psi).view(np.int64)
-    # only the support is sorted; -0.0 has a nonzero bit pattern, so it is in it
+    # -0.0 has a nonzero bit pattern, so it is in the support with its own text
     support = np.flatnonzero(bits)
-    values = np.unique(np.append(bits[support], 0))
-    which = np.full(bits.size, np.searchsorted(values, 0))
-    which[support] = np.searchsorted(values, bits[support])
-    text = np.array([f"{float(amp):.17g}\n" for amp in values.view(np.float64)], dtype=object)
+    values, which = np.unique(bits[support], return_inverse=True)
+    text = [f"{float(amp):.17g}\n" for amp in values.view(np.float64)]
+    gaps = np.diff(support, prepend=-1) - 1
+    last = int(support[-1]) if support.size else -1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
-        fh.write("".join(text[which].tolist()))
+        fh.write("".join(["0\n" * gap + text[i] for gap, i in zip(gaps.tolist(), which.tolist())])
+                 + "0\n" * (bits.size - 1 - last))

@@ -4,14 +4,15 @@ Everything here is deliberately written by a different route than the package
 code: coverings come from subset enumeration instead of backtracking, state
 amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
-marginals from explicit index loops instead of reshape/transpose, Schmidt
+marginals from explicit index loops or the dense reshape/transpose partial
+trace instead of pattern weights and coherences read off the support, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
 bipartition instead of one S_z block per split, the splits to solve from
 the symmetry orbits of a stabilizer chain of lattice generators (the orbit
 route, which shares the package's S_z-block eigensolve) instead of the
 spin-sector weight bound, the amplitude dump line by line instead of once
-per distinct value, the lattice symmetry group also by full enumeration
-instead of generators, the tangle from Wootters' concurrence instead of the
+per distinct support value between runs of zeros, the lattice symmetry
+group also by full enumeration instead of generators, the tangle from Wootters' concurrence instead of the
 Werner closed form, p_avg by one edge-list scan per site instead of one
 pass over the edges, the cloning windows by grid scan and bisection instead
 of closed forms, the monogamy surface by a scalar double loop, and its CSV
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from rvb_ladder import measures
-from rvb_ladder.state import total_spin_squared
+from rvb_ladder.state import site_count, total_spin_squared
 
 # ---------------------------------------------------------------------------
 # literal lattices (hand-derived; site = row*m + col, A iff row+col even,
@@ -363,6 +364,35 @@ def reference_dump(psi, path, m, boundary):
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
         for amp in psi:
             fh.write(f"{float(amp):.17g}\n")
+
+
+MAX_KEPT_SITES = 12  # memory guard: a 2^12 x 2^12 float64 matrix is 128 MiB
+
+
+def partial_trace(state, keep):
+    """Trace out all sites except `keep` (ordered list of site ids).
+
+    Row/column index of the result uses keep-list order with keep[0] as the
+    least significant bit, matching the global basis convention.
+    """
+    psi = np.asarray(state)
+    n = site_count(psi)
+    keep = list(keep)
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"duplicate sites in keep: {keep}")
+    if any(not 0 <= s < n for s in keep):
+        raise ValueError(f"keep sites {keep} out of range for n={n}")
+    if len(keep) > MAX_KEPT_SITES:
+        raise ValueError(f"refusing to build a reduced matrix above {MAX_KEPT_SITES} sites")
+
+    kept = set(keep)
+    rest = [s for s in range(n) if s not in kept]
+    # axis of site k in the reshaped tensor is n-1-k; most significant first
+    perm = [n - 1 - k for k in reversed(keep)] + [n - 1 - s for s in reversed(rest)]
+    mat = psi.reshape([2] * n).transpose(perm).reshape(1 << len(keep), -1)
+    return mat @ mat.conj().T
 
 
 def oracle_partial_trace(psi, keep):

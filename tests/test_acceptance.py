@@ -21,8 +21,7 @@ import pytest
 
 from rvb_ladder import (RunConfig, build_ladder, count_coverings,
                         edge_werner_parameters, enumerate_coverings, ggm,
-                        partial_trace, poly_fit, run_sweep, rvb_state,
-                        total_spin_squared)
+                        poly_fit, run_sweep, rvb_state, total_spin_squared)
 
 import oracles
 
@@ -122,7 +121,7 @@ def test_criterion_2_werner_form(paper_run):
         for fit in row.fits.values():
             worst_edge = max(worst_edge, fit.residual)
         for s in row.lattice.sites:
-            rho = partial_trace(row.state, [s])
+            rho = oracles.partial_trace(row.state, [s])
             worst_site = max(worst_site, float(np.max(np.abs(rho - np.eye(2) / 2.0))))
     ok = worst_edge < 1e-8 and worst_site < 1e-10
     _verdict(2, "Werner-form marginals", ok,
@@ -233,7 +232,7 @@ def test_criterion_8_ggm_split_structure(paper_run):
                 problems.append(f"n={row.n}: mask {mask:#x} cuts the step in column {c}")
         # the column-aligned split genuinely attains the recorded maximum
         keep = [k for k in range(row.n) if (mask >> k) & 1]
-        top = float(np.linalg.eigvalsh(partial_trace(row.state, keep))[-1])
+        top = float(np.linalg.eigvalsh(oracles.partial_trace(row.state, keep))[-1])
         if abs(top - row.ggm.max_schmidt_sq) > 1e-11:
             problems.append(f"n={row.n}: column split lambda^2 {top} "
                             f"!= max {row.ggm.max_schmidt_sq}")

@@ -1,11 +1,11 @@
-"""Partial traces, Werner fits and their edge averages, regional entanglement."""
+"""Support marginals against the dense partial trace, Werner fits, edge averages."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (RunConfig, build_ladder, edge_werner_parameters, partial_trace,
+from rvb_ladder import (RunConfig, build_ladder, density, edge_werner_parameters,
                         run_sweep, rvb_state, werner_parameter)
 
 import oracles
@@ -21,15 +21,15 @@ def test_partial_trace_matches_index_loop_oracle():
     for n, keep, seed in ((4, [0, 2], 1), (4, [3], 2), (5, [1, 4], 3),
                           (6, [0, 2, 5], 4), (6, [5, 0], 5)):
         psi = _random_state(n, seed)
-        got = partial_trace(psi, keep)
+        got = oracles.partial_trace(psi, keep)
         want = oracles.oracle_partial_trace(psi, keep)
         assert np.allclose(got, want, atol=1e-12), (n, keep)
 
 
 def test_partial_trace_keep_order_swaps_sites():
     psi = _random_state(4, 7)
-    ab = partial_trace(psi, [1, 3])
-    ba = partial_trace(psi, [3, 1])
+    ab = oracles.partial_trace(psi, [1, 3])
+    ba = oracles.partial_trace(psi, [3, 1])
     # swapping the kept sites permutes the reduced basis: swap the two bits
     perm = [0, 2, 1, 3]
     assert np.allclose(ba, ab[np.ix_(perm, perm)], atol=1e-12)
@@ -37,7 +37,7 @@ def test_partial_trace_keep_order_swaps_sites():
 
 def test_partial_trace_properties():
     psi = _random_state(5, 11)
-    rho = partial_trace(psi, [0, 3])
+    rho = oracles.partial_trace(psi, [0, 3])
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.all(np.linalg.eigvalsh(rho) > -1e-12)
@@ -46,27 +46,27 @@ def test_partial_trace_properties():
 def test_partial_trace_of_singlet_is_maximally_mixed():
     psi = oracles.singlet_pair()
     for site in (0, 1):
-        rho = partial_trace(psi, [site])
+        rho = oracles.partial_trace(psi, [site])
         assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_partial_trace_validation():
     psi = _random_state(3, 13)
     with pytest.raises(ValueError):
-        partial_trace(psi, [])
+        oracles.partial_trace(psi, [])
     with pytest.raises(ValueError):
-        partial_trace(psi, [0, 0])
+        oracles.partial_trace(psi, [0, 0])
     with pytest.raises(ValueError):
-        partial_trace(psi, [0, 3])
+        oracles.partial_trace(psi, [0, 3])
 
 
 def test_partial_trace_rejects_non_power_of_two_length():
     with pytest.raises(ValueError, match="not 2\\^n"):
-        partial_trace(np.full(6, 1.0 / math.sqrt(6.0)), [0])
+        oracles.partial_trace(np.full(6, 1.0 / math.sqrt(6.0)), [0])
 
 
 def test_werner_parameter_pure_singlet():
-    rho = partial_trace(oracles.singlet_pair(), [0, 1])
+    rho = oracles.partial_trace(oracles.singlet_pair(), [0, 1])
     fit = werner_parameter(rho)
     assert abs(fit.p - 1.0) < 1e-12
     assert fit.residual < 1e-12
@@ -106,7 +106,7 @@ def test_single_site_marginals_maximally_mixed(ladder_state):
     for m, b, w in oracles.EXPECTED:
         lat, psi = ladder_state(m, b, w)
         for s in lat.sites:
-            rho = partial_trace(psi, [s])
+            rho = oracles.partial_trace(psi, [s])
             assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10, (m, b, w, s)
 
 
@@ -127,6 +127,64 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
         for e, fit in fits.items():
             rho = oracles.oracle_partial_trace(psi, [e.a, e.b])
             assert abs(fit.p - oracles.oracle_werner_p(rho)) < 1e-10
+
+
+def _support_marginals(monkeypatch, lattice, psi):
+    """The 4 x 4 marginal `edge_werner_parameters` hands `werner_parameter`, per edge."""
+    seen = []
+    fit = density.werner_parameter
+    monkeypatch.setattr(density, "werner_parameter", lambda rho: seen.append(rho) or fit(rho))
+    fits, _ = edge_werner_parameters(lattice, psi)
+    monkeypatch.undo()
+    assert len(seen) == len(fits) == len(lattice.edges)
+    return dict(zip(lattice.edges, seen))
+
+
+@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
+def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m,
+                                                         boundary, odd_wrap):
+    lat, psi = ladder_state(m, boundary, odd_wrap)
+    for e, rho in _support_marginals(monkeypatch, lat, psi).items():
+        want = oracles.partial_trace(psi, [e.a, e.b])
+        assert rho.shape == (4, 4)
+        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, odd_wrap, e)
+
+
+@pytest.mark.parametrize("m, boundary", [(3, "open"), (4, "periodic"), (5, "periodic"),
+                                         (6, "open")])
+def test_support_marginals_of_a_complex_state(ladder_state, monkeypatch, m, boundary):
+    lat, psi = ladder_state(m, boundary, "twist")
+    support = np.flatnonzero(psi)
+    phases = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, support.size)
+    twisted = psi.astype(complex)
+    twisted[support] *= np.exp(1j * phases)
+    for e, rho in _support_marginals(monkeypatch, lat, twisted).items():
+        want = oracles.partial_trace(twisted, [e.a, e.b])
+        assert np.iscomplexobj(rho)
+        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, e)
+
+
+@pytest.mark.parametrize("down", [1, 2, 3, 5])
+def test_support_marginals_of_a_random_state_in_one_sz_sector(monkeypatch, down):
+    # not a singlet, so rho[1, 1] != rho[2, 2] and the fits are not Werner-form
+    lat = build_ladder(3, "open")
+    rng = np.random.default_rng(down)
+    psi = np.zeros(1 << lat.n, dtype=complex)
+    sector = [x for x in range(1 << lat.n) if bin(x).count("1") == down]
+    psi[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
+    psi /= np.linalg.norm(psi)
+    for e, rho in _support_marginals(monkeypatch, lat, psi).items():
+        want = oracles.partial_trace(psi, [e.a, e.b])
+        assert abs(want[1, 1] - want[2, 2]) > 1e-3, e
+        assert np.max(np.abs(rho - want)) <= 1e-15, (down, e)
+
+
+def test_support_marginals_refuse_a_state_mixing_sz_sectors():
+    lat = build_ladder(2, "open")
+    psi = rvb_state(lat)
+    psi[0] = 0.5  # all spins up: S_z = 2, next to the S_z = 0 liquid
+    with pytest.raises(ValueError, match="S_z sectors"):
+        edge_werner_parameters(lat, psi / np.linalg.norm(psi))
 
 
 def test_aggregates_match_expected_values(ladder_state):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rvb_ladder import (RunConfig, cloning_theta_sets, edge_werner_parameters,
                         ggm, measures, monogamy_check, monogamy_surface_sample,
-                        partial_trace, run_sweep, tangle)
+                        run_sweep, tangle)
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -42,7 +42,7 @@ def test_wootters_tangle_on_rvb_marginals(ladder_state):
     for m, b, w in oracles.PAPER_SIZES:
         lat, psi = ladder_state(m, b, w)
         for e in lat.edges:
-            rho = partial_trace(psi, [e.a, e.b])
+            rho = oracles.partial_trace(psi, [e.a, e.b])
             p = oracles.oracle_werner_p(rho)
             assert abs(tangle_from_density_matrix(rho) - tangle(p)) < 1e-10
 
@@ -302,7 +302,7 @@ def test_ggm_matches_svd_oracle_small(ladder_state):
         # eigenvalue equals the top squared Schmidt coefficient
         for mask in range(1, (1 << n) - 1, 2):
             keep = [k for k in range(n) if (mask >> k) & 1]
-            top = float(np.linalg.eigvalsh(partial_trace(psi, keep))[-1])
+            top = float(np.linalg.eigvalsh(oracles.partial_trace(psi, keep))[-1])
             want = oracles.oracle_schmidt_sq_max(psi, mask)
             assert top == pytest.approx(want, abs=1e-10), (key, mask)
 

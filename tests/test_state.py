@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvb_ladder import (build_ladder, dump_state, enumerate_coverings,
                         rvb_state, total_spin_squared)
@@ -260,3 +262,27 @@ def test_dump_state_bytes_mostly_signed_zeros(tmp_path):
     assert got == (tmp_path / "want.txt").read_bytes()
     assert set(got.decode().splitlines()[1:]) == {"0", "-0", "0.25", "-0.25",
                                                   "4.9406564584124654e-324"}
+
+
+_SPARSE_VALUES = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                                            0.5, -0.5, 0.1]),
+                           st.floats(width=64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dump_state_bytes_match_the_line_writer_on_sparse_vectors(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 8), label="n")
+    last = (1 << n) - 1
+    index = st.one_of(st.sampled_from([0, last]), st.integers(0, last))
+    entries = data.draw(st.dictionaries(index, _SPARSE_VALUES, max_size=1 << n),
+                        label="entries")
+    psi = np.zeros(1 << n)
+    if data.draw(st.booleans(), label="no +0.0"):
+        psi[:] = -0.0
+    if entries:
+        psi[list(entries)] = list(entries.values())
+    tmp = tmp_path_factory.mktemp("dump")
+    dump_state(psi, tmp / "got.txt", n // 2, "open")
+    oracles.reference_dump(psi, tmp / "want.txt", n // 2, "open")
+    assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
