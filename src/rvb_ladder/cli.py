@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .lattice import BOUNDARIES, ODD_WRAPS
+from .lattice import BOUNDARIES
 from .sweep import RunConfig, run_sweep
 
 
@@ -36,9 +36,6 @@ def build_parser():
     sweep.add_argument("--surface-res", type=int, default=defaults.surface_res,
                        help="grid resolution for the monogamy surface CSV "
                        f"(default {defaults.surface_res})")
-    sweep.add_argument("--odd-wrap", choices=ODD_WRAPS, default=defaults.odd_wrap,
-                       help="how the periodic wrap treats odd lengths "
-                       f"(default {defaults.odd_wrap})")
     return parser
 
 
@@ -48,10 +45,8 @@ def _fmt(value):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = RunConfig(sizes=args.sizes, boundary=args.boundary,
-                       odd_wrap=args.odd_wrap, out_dir=args.out,
-                       dump_states=args.dump_states,
-                       surface_res=args.surface_res)
+    config = RunConfig(sizes=args.sizes, boundary=args.boundary, out_dir=args.out,
+                       dump_states=args.dump_states, surface_res=args.surface_res)
     try:
         report = run_sweep(config)
     except (ValueError, OSError) as exc:  # bad config or unusable --out

@@ -73,10 +73,10 @@ def _pattern_weights(support, weight, n):
 
 
 def edge_werner_parameters(lattice, state):
-    """Werner fit for every edge (dimer-forbidden wraps included, for the record).
+    """Werner fit for every edge.
 
     Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
-    p_r = mean over dimer-allowed rails, p_s = mean over steps, and the
+    p_r = mean over rails, p_s = mean over steps, and the
     regional p_avg = mean over degree-3 sites of the mean p of each one's
     three edges, taken in edge order. Degree-2 corners of open ladders are
     skipped; p_avg is None when no site has degree 3 (the open m = 2 ladder).
@@ -105,7 +105,7 @@ def edge_werner_parameters(lattice, state):
                         [0.0, coherence.conjugate(), p01[a, b], 0.0],
                         [0.0, 0.0, 0.0, p11[a, b]]])
         fits[e] = werner_parameter(rho)
-    rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
+    rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail"]
     step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
     incident = [[] for _ in lattice.sites]
     for e in lattice.edges:

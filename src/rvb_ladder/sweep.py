@@ -10,7 +10,6 @@ from . import density, lattice, measures, numerics, state
 class RunConfig:
     sizes: tuple = (3, 4, 5, 6)
     boundary: str = "periodic"
-    odd_wrap: str = "twist"
     out_dir: object = None  # path-like or None for in-memory runs
     dump_states: bool = False
     surface_res: int = 100
@@ -65,8 +64,8 @@ def run_sweep(config):
         if 2 * m > measures.MAX_SITES:
             raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
-    # build_ladder owns the checks on m >= 2, boundary and odd_wrap
-    lattices = [lattice.build_ladder(m, config.boundary, config.odd_wrap)
+    # build_ladder owns the checks on m >= 2 and boundary
+    lattices = [lattice.build_ladder(m, config.boundary)
                 for m in sorted(config.sizes)]
     if config.surface_res < 2:
         raise ValueError(f"surface resolution {config.surface_res} < 2")
@@ -185,9 +184,9 @@ def emit_csv(report, out_dir):
         for e in r.lattice.edges:
             f = r.fits[e]
             edge_rows.append((r.n, r.m, r.lattice.boundary, e.a, e.b, e.kind,
-                              e.dimer_allowed, f.p, f.residual))
+                              f.p, f.residual))
     _write_csv(detail / "edges.csv",
-               ["n", "m", "boundary", "edge_a", "edge_b", "kind", "allowed", "p", "residual"],
+               ["n", "m", "boundary", "edge_a", "edge_b", "kind", "p", "residual"],
                edge_rows)
     agg_rows = []
     for r in rows:
@@ -223,7 +222,7 @@ def emit_csv(report, out_dir):
 
     with open(detail / "config.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"sizes={','.join(str(m) for m in sorted(cfg.sizes))}\n"
-                 f"boundary={cfg.boundary}\nodd_wrap={cfg.odd_wrap}\n"
+                 f"boundary={cfg.boundary}\n"
                  f"surface_res={cfg.surface_res}\ndump_states={cfg.dump_states}\n")
 
     if cfg.dump_states:

@@ -10,10 +10,10 @@ def ladder_state():
     """Factory returning (lattice, state), cached per configuration."""
     cache = {}
 
-    def factory(m, boundary="periodic", odd_wrap="forbid"):
-        key = (m, boundary, odd_wrap)
+    def factory(m, boundary="periodic"):
+        key = (m, boundary)
         if key not in cache:
-            lat = build_ladder(m, boundary, odd_wrap)
+            lat = build_ladder(m, boundary)
             cache[key] = (lat, rvb_state(lat))
         return cache[key]
 

@@ -30,7 +30,7 @@ from rvb_ladder.state import site_count, total_spin_squared
 
 # ---------------------------------------------------------------------------
 # literal lattices (hand-derived; site = row*m + col, A iff row+col even,
-# A-site first on dimer-allowed edges)
+# A-site first on every edge)
 
 M2_OPEN_EDGES = (
     (0, 1, "rail"), (3, 2, "rail"),
@@ -63,7 +63,7 @@ def brute_force_coverings(n, edges):
 
 
 def automorphisms(lattice):
-    """All site permutations preserving the multiset of dimer-allowed edges.
+    """All site permutations preserving the multiset of edges.
 
     Each is a tuple `perm` with `perm[site]` the image of `site`; the
     identity comes first and the order is deterministic. The whole group by
@@ -74,9 +74,8 @@ def automorphisms(lattice):
     n = lattice.n
     mult = [[0] * n for _ in range(n)]
     for e in lattice.edges:
-        if e.dimer_allowed:
-            mult[e.a][e.b] += 1
-            mult[e.b][e.a] += 1
+        mult[e.a][e.b] += 1
+        mult[e.b][e.a] += 1
     degree = [sum(row) for row in mult]
     # an earlier neighbour of each site, whose image's neighbours are then
     # the only candidates for the site's own image
@@ -122,12 +121,12 @@ def group_closure(generators, n):
 
 
 def automorphism_generators(lattice):
-    """Generators of the site permutations preserving the dimer-allowed edges.
+    """Generators of the site permutations preserving the edges.
 
-    The group is every permutation that preserves the multiset of
-    dimer-allowed edges; such a permutation maps dimer coverings to dimer
-    coverings, so it maps the liquid state to plus or minus itself. Each
-    generator is a tuple `perm` with `perm[site]` the image of `site`.
+    The group is every permutation that preserves the multiset of edges;
+    such a permutation maps dimer coverings to dimer coverings, so it maps
+    the liquid state to plus or minus itself. Each generator is a tuple
+    `perm` with `perm[site]` the image of `site`.
 
     A stabilizer chain (Schreier-Sims), walked from the last site to the
     first: at level i every generator found so far fixes sites 0..i-1, and
@@ -142,9 +141,8 @@ def automorphism_generators(lattice):
     n = lattice.n
     mult = [[0] * n for _ in range(n)]
     for e in lattice.edges:
-        if e.dimer_allowed:
-            mult[e.a][e.b] += 1
-            mult[e.b][e.a] += 1
+        mult[e.a][e.b] += 1
+        mult[e.b][e.a] += 1
     degree = [sum(row) for row in mult]
     # an earlier neighbour of each site, whose image's neighbours are then
     # the only candidates for the site's own image
@@ -426,11 +424,11 @@ def oracle_werner_p(rho):
 
 
 def rail_and_step_ps(lattice, fits):
-    """The p of each edge the two aggregates average: dimer-allowed rails, steps.
+    """The p of each edge the two aggregates average: rails, steps.
 
     Their min and max give the per-kind spread around p_r and p_s.
     """
-    rails = [fits[e].p for e in lattice.edges if e.kind == "rail" and e.dimer_allowed]
+    rails = [fits[e].p for e in lattice.edges if e.kind == "rail"]
     steps = [fits[e].p for e in lattice.edges if e.kind == "step"]
     return rails, steps
 
@@ -701,46 +699,38 @@ def grid_cloning_theta_sets(p_r, p_s, grid_resolution=2048, theta_tol=1e-9):
 F = Fraction
 
 EXPECTED = {
-    # (m, boundary, odd_wrap): per-size pipeline quantities
-    (2, "open", "forbid"): dict(
+    # (m, boundary): per-size pipeline quantities
+    (2, "open"): dict(
         count=2, p_r=F(2, 3), p_s=F(2, 3), p_avg=None,
         ggm=F(1, 4), ggm_mask=0x3, theta=None),
-    (3, "open", "forbid"): dict(
+    (3, "open"): dict(
         count=3, p_r=F(5, 11), p_s=F(25, 33), p_avg=F(17, 33),
         ggm=F(3, 22), ggm_mask=0x9, theta=None),
-    (2, "periodic", "forbid"): dict(count=5),
-    (3, "periodic", "forbid"): dict(
-        count=3, p_r=F(5, 11), p_s=F(25, 33), p_avg=F(43, 99),
-        ggm=F(3, 22), ggm_mask=0x9, theta=None),
-    (5, "periodic", "forbid"): dict(
+    (5, "open"): dict(
         count=8, p_r=F(86, 201), p_s=F(733, 1005),
         ggm=0.090348138876, ggm_mask=0x63,
         theta=math.asin(math.sqrt(68.0 / 335.0))),
-    (3, "periodic", "twist"): dict(
+    (2, "periodic"): dict(count=5),
+    (3, "periodic"): dict(
         count=6, p_r=F(5, 9), p_s=F(5, 9), p_avg=F(5, 9),
         ggm=F(1, 3), ggm_mask=0x3, theta=math.asin(1.0 / math.sqrt(3.0)),
         lhs=F(1, 3)),
-    (4, "periodic", "forbid"): dict(
+    (4, "periodic"): dict(
         count=9, p_r=F(11, 21), p_s=F(11, 21), p_avg=F(11, 21),
         ggm=F(143, 504), ggm_mask=0xF, theta=math.asin(math.sqrt(5.0 / 14.0)),
         lhs=F(12, 49)),
-    (5, "periodic", "twist"): dict(
+    (5, "periodic"): dict(
         count=13, p_r=F(89, 201), p_s=F(43, 67), p_avg=F(307, 603),
         ggm=0.248930971690, ggm_mask=0x63,
         theta=math.asin(math.sqrt(18.0 / 67.0)), lhs=F(1203, 4489)),
-    (6, "periodic", "forbid"): dict(
+    (6, "periodic"): dict(
         count=20, p_r=F(18, 43), p_s=F(2, 3), p_avg=F(194, 387),
         ggm=0.225555700263, ggm_mask=0xC3, theta=math.pi / 6.0,
         lhs=F(2091, 7396)),
 }
-# an even-m periodic ladder ignores odd_wrap: same rows under "twist"
-for _m in (4, 6):
-    EXPECTED[(_m, "periodic", "twist")] = EXPECTED[(_m, "periodic", "forbid")]
 
 # the published construction (periodic, twisted odd closure), N = 2m = 6..12
-PAPER_SIZES = ((3, "periodic", "twist"), (4, "periodic", "twist"),
-               (5, "periodic", "twist"), (6, "periodic", "twist"))
+PAPER_SIZES = ((3, "periodic"), (4, "periodic"), (5, "periodic"), (6, "periodic"))
 
 # every ladder configuration with N = 2m <= 16 sites
-CONFIGS = [(m, boundary, odd_wrap) for m in range(2, 9)
-           for boundary in ("open", "periodic") for odd_wrap in ("forbid", "twist")]
+CONFIGS = [(m, boundary) for m in range(2, 9) for boundary in ("open", "periodic")]

@@ -32,8 +32,7 @@ CAPTION_QUADRATIC = (0.671077, -0.0010471)
 @pytest.fixture(scope="module")
 def paper_run():
     t0 = time.perf_counter()
-    report = run_sweep(RunConfig(sizes=(3, 4, 5, 6), boundary="periodic",
-                                 odd_wrap="twist", out_dir=None))
+    report = run_sweep(RunConfig(sizes=(3, 4, 5, 6), boundary="periodic", out_dir=None))
     elapsed = time.perf_counter() - t0
     assert not report.failures, report.failures
     return report, elapsed
@@ -41,16 +40,15 @@ def paper_run():
 
 @pytest.fixture(scope="module")
 def extended_run():
-    report = run_sweep(RunConfig(sizes=(5, 6, 7, 8), boundary="periodic",
-                                 odd_wrap="twist", out_dir=None))
+    report = run_sweep(RunConfig(sizes=(5, 6, 7, 8), boundary="periodic", out_dir=None))
     assert not report.failures, report.failures
     return report
 
 
 def _rails_equal_steps(lattice):
-    """True when a symmetry of the lattice maps a dimer-allowed step onto a rail."""
+    """True when a symmetry of the lattice maps a step onto a rail."""
     rails = {frozenset((e.a, e.b)) for e in lattice.edges if e.kind == "rail"}
-    steps = [e for e in lattice.edges if e.kind == "step" and e.dimer_allowed]
+    steps = [e for e in lattice.edges if e.kind == "step"]
     return any(frozenset((g[e.a], g[e.b])) in rails
                for g in oracles.automorphisms(lattice) for e in steps)
 

@@ -103,25 +103,24 @@ def test_werner_parameter_validation():
 
 
 def test_single_site_marginals_maximally_mixed(ladder_state):
-    for m, b, w in oracles.EXPECTED:
-        lat, psi = ladder_state(m, b, w)
+    for m, b in oracles.EXPECTED:
+        lat, psi = ladder_state(m, b)
         for s in lat.sites:
             rho = oracles.partial_trace(psi, [s])
-            assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10, (m, b, w, s)
+            assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10, (m, b, s)
 
 
 def test_edge_marginals_are_werner(ladder_state):
-    for m, b, w in oracles.EXPECTED:
-        lat, psi = ladder_state(m, b, w)
+    for m, b in oracles.EXPECTED:
+        lat, psi = ladder_state(m, b)
         fits, _ = edge_werner_parameters(lat, psi)
         for e, fit in fits.items():
-            assert fit.residual < 1e-8, (m, b, w, e)
+            assert fit.residual < 1e-8, (m, b, e)
             assert fit.werner_ok
 
 
 def test_edge_p_matches_index_loop_oracle_small(ladder_state):
-    for key in ((2, "open", "forbid"), (3, "open", "forbid"),
-                (3, "periodic", "twist")):
+    for key in ((2, "open"), (3, "open"), (3, "periodic")):
         lat, psi = ladder_state(*key)
         fits, _ = edge_werner_parameters(lat, psi)
         for e, fit in fits.items():
@@ -140,20 +139,19 @@ def _support_marginals(monkeypatch, lattice, psi):
     return dict(zip(lattice.edges, seen))
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
-def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m,
-                                                         boundary, odd_wrap):
-    lat, psi = ladder_state(m, boundary, odd_wrap)
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m, boundary):
+    lat, psi = ladder_state(m, boundary)
     for e, rho in _support_marginals(monkeypatch, lat, psi).items():
         want = oracles.partial_trace(psi, [e.a, e.b])
         assert rho.shape == (4, 4)
-        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, odd_wrap, e)
+        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, e)
 
 
 @pytest.mark.parametrize("m, boundary", [(3, "open"), (4, "periodic"), (5, "periodic"),
                                          (6, "open")])
 def test_support_marginals_of_a_complex_state(ladder_state, monkeypatch, m, boundary):
-    lat, psi = ladder_state(m, boundary, "twist")
+    lat, psi = ladder_state(m, boundary)
     support = np.flatnonzero(psi)
     phases = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, support.size)
     twisted = psi.astype(complex)
@@ -188,13 +186,13 @@ def test_support_marginals_refuse_a_state_mixing_sz_sectors():
 
 
 def test_aggregates_match_expected_values(ladder_state):
-    for (m, b, w), exp in oracles.EXPECTED.items():
+    for (m, b), exp in oracles.EXPECTED.items():
         if "p_r" not in exp:
             continue
-        lat, psi = ladder_state(m, b, w)
+        lat, psi = ladder_state(m, b)
         fits, agg = edge_werner_parameters(lat, psi)
-        assert abs(agg.p_r - float(exp["p_r"])) < 1e-11, (m, b, w)
-        assert abs(agg.p_s - float(exp["p_s"])) < 1e-11, (m, b, w)
+        assert abs(agg.p_r - float(exp["p_r"])) < 1e-11, (m, b)
+        assert abs(agg.p_s - float(exp["p_s"])) < 1e-11, (m, b)
         rail_ps, step_ps = oracles.rail_and_step_ps(lat, fits)
         assert min(rail_ps) <= agg.p_r <= max(rail_ps)
         assert min(step_ps) <= agg.p_s <= max(step_ps)
@@ -202,41 +200,40 @@ def test_aggregates_match_expected_values(ladder_state):
 
 def test_edge_equivalence_under_symmetry(ladder_state):
     # the twisted 3-ring is edge-transitive: every edge carries the same p
-    lat, psi = ladder_state(3, "periodic", "twist")
+    lat, psi = ladder_state(3, "periodic")
     fits, agg = edge_werner_parameters(lat, psi)
     for fit in fits.values():
         assert abs(fit.p - 5.0 / 9.0) < 1e-11
     rail_ps, _ = oracles.rail_and_step_ps(lat, fits)
     assert abs(max(rail_ps) - min(rail_ps)) < 1e-11
     # the 8-site periodic ladder is the cube: rails and steps agree
-    lat, psi = ladder_state(4, "periodic", "forbid")
+    lat, psi = ladder_state(4, "periodic")
     _, agg = edge_werner_parameters(lat, psi)
     assert abs(agg.p_r - agg.p_s) < 1e-11
 
 
 def test_regional_entanglement_values(ladder_state):
-    for (m, b, w), exp in oracles.EXPECTED.items():
+    for (m, b), exp in oracles.EXPECTED.items():
         if exp.get("p_avg") is None:
             continue
-        lat, psi = ladder_state(m, b, w)
+        lat, psi = ladder_state(m, b)
         _, agg = edge_werner_parameters(lat, psi)
-        assert abs(agg.p_avg - float(exp["p_avg"])) < 1e-11, (m, b, w)
+        assert abs(agg.p_avg - float(exp["p_avg"])) < 1e-11, (m, b)
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
-def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary,
-                                                               odd_wrap):
-    lat, psi = ladder_state(m, boundary, odd_wrap)
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary):
+    lat, psi = ladder_state(m, boundary)
     fits, agg = edge_werner_parameters(lat, psi)
     assert agg.p_avg == oracles.reference_p_avg(lat, fits)
 
 
 def test_regional_entanglement_skips_degree_two_sites(ladder_state):
-    lat, psi = ladder_state(2, "open", "forbid")
+    lat, psi = ladder_state(2, "open")
     _, agg = edge_werner_parameters(lat, psi)
     assert agg.p_avg is None  # every site is a corner
     # open m = 3: the four corners have degree 2, the middle sites 1 and 4 degree 3
-    lat, psi = ladder_state(3, "open", "forbid")
+    lat, psi = ladder_state(3, "open")
     fits, agg = edge_werner_parameters(lat, psi)
     middle = [[fits[e].p for e in lat.edges if s in (e.a, e.b)] for s in (1, 4)]
     assert [len(ps) for ps in middle] == [3, 3]
@@ -246,8 +243,7 @@ def test_regional_entanglement_skips_degree_two_sites(ladder_state):
 
 def test_teleportation_fidelities(tmp_path):
     # the written F = (p + 1)/2 of the exact open-ladder p_r, p_s and p_avg
-    run_sweep(RunConfig(sizes=(2, 3), boundary="open", odd_wrap="forbid",
-                        out_dir=tmp_path, surface_res=2))
+    run_sweep(RunConfig(sizes=(2, 3), boundary="open", out_dir=tmp_path, surface_res=2))
     lines = (tmp_path / "detail" / "aggregates.csv").read_text().splitlines()
     assert lines[0] == "n,p_r,p_s,p_avg,F_r,F_s,F_avg"
     # N = 4: p_r = p_s = 2/3 and no degree-3 site, so no p_avg and no F_avg
@@ -259,8 +255,8 @@ def test_teleportation_fidelities(tmp_path):
 
 
 def test_fidelities_beat_classical_for_paper_sizes(ladder_state):
-    for m, b, w in oracles.PAPER_SIZES:
-        lat, psi = ladder_state(m, b, w)
+    for m, b in oracles.PAPER_SIZES:
+        lat, psi = ladder_state(m, b)
         _, agg = edge_werner_parameters(lat, psi)
         for p in (agg.p_r, agg.p_s, agg.p_avg):
             assert (p + 1.0) / 2.0 > 2.0 / 3.0, (m, p)

@@ -39,8 +39,8 @@ def test_wootters_tangle_agrees_on_werner_states():
 
 def test_wootters_tangle_on_rvb_marginals(ladder_state):
     # dual route: closed-form Werner tangle vs full Wootters computation
-    for m, b, w in oracles.PAPER_SIZES:
-        lat, psi = ladder_state(m, b, w)
+    for m, b in oracles.PAPER_SIZES:
+        lat, psi = ladder_state(m, b)
         for e in lat.edges:
             rho = oracles.partial_trace(psi, [e.a, e.b])
             p = oracles.oracle_werner_p(rho)
@@ -92,13 +92,13 @@ def test_monogamy_boundary_examples():
 
 def test_monogamy_lhs_expected_values(ladder_state):
     from rvb_ladder import edge_werner_parameters
-    for (m, b, w), exp in oracles.EXPECTED.items():
+    for (m, b), exp in oracles.EXPECTED.items():
         if "lhs" not in exp:
             continue
-        lat, psi = ladder_state(m, b, w)
+        lat, psi = ladder_state(m, b)
         _, agg = edge_werner_parameters(lat, psi)
         rec = monogamy_check(agg.p_r, agg.p_s)
-        assert abs(rec.lhs - float(exp["lhs"])) < 1e-11, (m, b, w)
+        assert abs(rec.lhs - float(exp["lhs"])) < 1e-11, (m, b)
         assert rec.satisfied
 
 
@@ -184,16 +184,16 @@ def test_cloning_tangency_detected():
 
 
 def test_cloning_expected_closed_forms(ladder_state):
-    for (m, b, w), exp in oracles.EXPECTED.items():
+    for (m, b), exp in oracles.EXPECTED.items():
         if "theta" not in exp or "p_r" not in exp:
             continue
-        lat, psi = ladder_state(m, b, w)
+        lat, psi = ladder_state(m, b)
         _, agg = edge_werner_parameters(lat, psi)
         rec = cloning_theta_sets(agg.p_r, agg.p_s)
         if exp["theta"] is None:
-            assert rec.theta_max is None, (m, b, w)
+            assert rec.theta_max is None, (m, b)
         else:
-            assert rec.theta_max == pytest.approx(exp["theta"], abs=1e-12), (m, b, w)
+            assert rec.theta_max == pytest.approx(exp["theta"], abs=1e-12), (m, b)
 
 
 def test_cloning_degenerate_examples():
@@ -211,7 +211,7 @@ def test_cloning_margin_at_the_cube_and_k33(ladder_state):
     # N = 8 (the cube): they overlap by a clear margin
     margins = {}
     for m in (3, 4):
-        lat, psi = ladder_state(m, "periodic", "twist")
+        lat, psi = ladder_state(m, "periodic")
         _, agg = edge_werner_parameters(lat, psi)
         margins[lat.n] = cloning_theta_sets(agg.p_r, agg.p_s).margin
     assert abs(margins[6]) <= 1e-12
@@ -292,8 +292,7 @@ def test_ggm_rejects_non_power_of_two_length():
 
 
 def test_ggm_matches_svd_oracle_small(ladder_state):
-    for key in ((2, "open", "forbid"), (3, "open", "forbid"),
-                (3, "periodic", "twist")):
+    for key in ((2, "open"), (3, "open"), (3, "periodic")):
         _, psi = ladder_state(*key)
         rec = ggm(psi)
         assert rec.value == pytest.approx(oracles.oracle_ggm(psi), abs=1e-10)
@@ -308,13 +307,13 @@ def test_ggm_matches_svd_oracle_small(ladder_state):
 
 
 def test_ggm_expected_values(ladder_state):
-    for (m, b, w), exp in oracles.EXPECTED.items():
+    for (m, b), exp in oracles.EXPECTED.items():
         if "ggm" not in exp:
             continue
-        _, psi = ladder_state(m, b, w)
+        _, psi = ladder_state(m, b)
         rec = ggm(psi)
-        assert abs(rec.value - float(exp["ggm"])) < 1e-11, (m, b, w)
-        assert rec.mask == exp["ggm_mask"], (m, b, w)
+        assert abs(rec.value - float(exp["ggm"])) < 1e-11, (m, b)
+        assert rec.mask == exp["ggm_mask"], (m, b)
         assert rec.mask in rec.tied_masks
         assert rec.mask & 1  # site 0 on the recorded side
         assert rec.max_schmidt_sq == pytest.approx(1.0 - float(exp["ggm"]), abs=1e-11)
@@ -333,7 +332,7 @@ def _relabel_sites(psi, perm):
 
 
 def test_ggm_invariant_under_site_relabeling(ladder_state):
-    _, psi = ladder_state(3, "periodic", "twist")
+    _, psi = ladder_state(3, "periodic")
     base = ggm(psi).value
     rotation = [1, 2, 0, 4, 5, 3]        # shift every column by one
     leg_swap = [3, 4, 5, 0, 1, 2]        # exchange the two rows
@@ -343,22 +342,22 @@ def test_ggm_invariant_under_site_relabeling(ladder_state):
 
 
 def test_ggm_max_schmidt_bounded_below_by_dimension(ladder_state):
-    for m, b, w in oracles.PAPER_SIZES:
-        _, psi = ladder_state(m, b, w)
+    for m, b in oracles.PAPER_SIZES:
+        _, psi = ladder_state(m, b)
         rec = ggm(psi)
         a = rec.mask.bit_count()
         d_min = 2 ** min(a, 2 * m - a)
-        assert rec.max_schmidt_sq >= 1.0 / d_min - 1e-12, (m, b, w)
+        assert rec.max_schmidt_sq >= 1.0 / d_min - 1e-12, (m, b)
 
 
 def test_ggm_ties_include_column_aligned_split(ladder_state):
     # symmetry can tie several bipartitions; a whole-column split is always
     # among the maximizers for the ladder states
-    for m, b, w in oracles.PAPER_SIZES:
-        _, psi = ladder_state(m, b, w)
+    for m, b in oracles.PAPER_SIZES:
+        _, psi = ladder_state(m, b)
         rec = ggm(psi)
         aligned = oracles.column_aligned_tied_mask(rec.tied_masks, m)
-        assert aligned is not None, (m, b, w)
+        assert aligned is not None, (m, b)
 
 
 # the orbit route computes each Schmidt value from one S_z block at one mask
@@ -367,14 +366,12 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
 # eigensolver roundoff
 SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
 
-# every (m, boundary, odd_wrap) with N <= 12
-SMALL_CONFIGS = [(m, b, w) for m in range(2, 7)
-                 for b in ("open", "periodic") for w in ("forbid", "twist")]
-# periodic N = 14 and 16 (even m has one periodic lattice)
-LARGE_PERIODIC_CONFIGS = [(7, "periodic", "forbid"), (7, "periodic", "twist"),
-                          (8, "periodic", "forbid")]
+# every (m, boundary) with N <= 12
+SMALL_CONFIGS = [(m, b) for m in range(2, 7) for b in ("open", "periodic")]
+# N = 14 on both boundaries and periodic N = 16
+LARGE_CONFIGS = [(7, "open"), (7, "periodic"), (8, "periodic")]
 # the dense scan would take about 30 s at N = 16, so it stops at N = 14
-SYMMETRY_CONFIGS = SMALL_CONFIGS + LARGE_PERIODIC_CONFIGS[:2]
+SYMMETRY_CONFIGS = SMALL_CONFIGS + LARGE_CONFIGS[:2]
 
 
 def test_ggm_symmetry_route_matches_full_scan(ladder_state):
@@ -396,7 +393,7 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
             assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
 
 
-@pytest.mark.parametrize("key", SMALL_CONFIGS + LARGE_PERIODIC_CONFIGS)
+@pytest.mark.parametrize("key", SMALL_CONFIGS + LARGE_CONFIGS)
 def test_ggm_generators_give_the_whole_group_record(ladder_state, key):
     # the generators' orbits are the group's, so the same representatives
     # reach the eigensolves and every field agrees exactly
@@ -423,7 +420,7 @@ def test_ggm_labels_orbits_of_a_set_that_is_not_closed(ladder_state, monkeypatch
     # the translation alone generates the rotations only, and the labels must
     # still reach the smallest mask of each orbit of that cyclic group
     m = 6
-    lat, psi = ladder_state(m, "periodic", "twist")
+    lat, psi = ladder_state(m, "periodic")
     shift = tuple(r * m + (c + 1) % m for r in range(2) for c in range(m))
     real = measures._schmidt_sq_max
     seen = []
@@ -454,7 +451,7 @@ def test_ggm_symmetry_route_evaluates_one_mask_per_orbit(ladder_state, monkeypat
 
     monkeypatch.setattr(measures, "_schmidt_sq_max", counting)
     for m, count in orbit_counts.items():
-        lat, psi = ladder_state(m, "periodic", "twist")
+        lat, psi = ladder_state(m, "periodic")
         seen.clear()
         rec = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
         assert len(seen) == len(set(seen)) == count, m
@@ -534,14 +531,14 @@ def test_ggm_sector_block_on_random_singlets(data):
 
 
 def test_ggm_rejects_a_permutation_that_is_not_a_symmetry(ladder_state):
-    _, psi = ladder_state(3, "open", "forbid")
+    _, psi = ladder_state(3, "open")
     swap_01 = (1, 0, 2, 3, 4, 5)  # exchanges an A site with a B site of one rail
     with pytest.raises(ValueError, match="not a symmetry"):
         oracles.orbit_ggm(psi, symmetries=[swap_01])
     with pytest.raises(ValueError, match="not a permutation"):
         oracles.orbit_ggm(psi, symmetries=[(0, 0, 2, 3, 4, 5)])
     # true generators do not excuse a false one among them
-    lat, _ = ladder_state(3, "open", "forbid")
+    lat, _ = ladder_state(3, "open")
     with pytest.raises(ValueError, match="not a symmetry"):
         oracles.orbit_ggm(psi, symmetries=[*oracles.automorphism_generators(lat), swap_01])
 
@@ -566,12 +563,7 @@ def test_default_sweep_solves_the_largest_bound_and_the_tied_masks(monkeypatch):
         assert solved[row.n] == [first, *rest], row.m
 
 
-# every (m, boundary, odd_wrap) the orbit oracle runs in a few seconds, N <= 16
-ORBIT_ORACLE_CONFIGS = [(m, b, w) for m in range(2, 9)
-                        for b in ("open", "periodic") for w in ("forbid", "twist")]
-
-
-@pytest.mark.parametrize("key", ORBIT_ORACLE_CONFIGS)
+@pytest.mark.parametrize("key", oracles.CONFIGS)
 def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
     lat, psi = ladder_state(*key)
     got = ggm(psi)
@@ -583,7 +575,7 @@ def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
     assert abs(got.max_schmidt_sq - want.max_schmidt_sq) <= SYMMETRY_VALUE_TOL
 
 
-@pytest.mark.parametrize("key", ORBIT_ORACLE_CONFIGS)
+@pytest.mark.parametrize("key", oracles.CONFIGS)
 def test_ggm_winner_is_its_split_solved_alone(ladder_state, key):
     # a split's Schmidt^2 depends only on the split, not on which other
     # splits are solved in the same call, so the record's value is exactly

@@ -42,7 +42,7 @@ def test_dominant_singular_value_matches_svd_random():
 def test_dominant_singular_value_structured_state_matrix():
     # singlet-product amplitude matrices have zero-sum slices; the power
     # iteration must not stall on them
-    psi = rvb_state(build_ladder(3, "periodic", "twist"))
+    psi = rvb_state(build_ladder(3, "periodic"))
     mat = psi.reshape(4, 16)
     want = np.linalg.svd(mat, compute_uv=False)[0]
     assert abs(dominant_singular_value(mat) - want) < 1e-9

@@ -1,6 +1,5 @@
 """State construction: singlets, covering products, the full superposition."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvb_ladder import (build_ladder, dump_state, enumerate_coverings,
-                        rvb_state, total_spin_squared)
+from rvb_ladder import (LadderLattice, build_ladder, dump_state,
+                        enumerate_coverings, rvb_state, total_spin_squared)
 from rvb_ladder.state import _covering_terms, site_count
 
 import oracles
@@ -79,26 +78,18 @@ def test_rvb_state_matches_oracle_small():
         assert np.allclose(psi, want, atol=1e-10), (m, boundary)
 
 
-def test_rvb_state_matches_oracle_twist():
-    lat = build_ladder(3, "periodic", "twist")
-    psi = rvb_state(lat)
-    want = oracles.oracle_state(enumerate_coverings(lat), lat.n)
-    assert np.allclose(psi, want, atol=1e-10)
-
-
 def test_rvb_state_real_and_normalized(ladder_state):
-    for m, b, w in oracles.EXPECTED:
-        lat, psi = ladder_state(m, b, w)
+    for m, b in oracles.EXPECTED:
+        lat, psi = ladder_state(m, b)
         assert np.all(np.isreal(psi))
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_rvb_state_is_total_singlet(ladder_state):
-    largest = ((7, "periodic", "twist"), (7, "open", "forbid"),
-               (8, "periodic", "forbid"), (8, "open", "forbid"))  # N = 14, 16
-    for m, b, w in (*oracles.EXPECTED, *largest):
-        _, psi = ladder_state(m, b, w)
-        assert total_spin_squared(psi) < 1e-10, (m, b, w)
+    largest = ((7, "periodic"), (7, "open"), (8, "periodic"), (8, "open"))  # N = 14, 16
+    for m, b in (*oracles.EXPECTED, *largest):
+        _, psi = ladder_state(m, b)
+        assert total_spin_squared(psi) < 1e-10, (m, b)
 
 
 def test_total_spin_squared_detects_non_singlets():
@@ -110,19 +101,11 @@ def test_total_spin_squared_detects_non_singlets():
     assert abs(total_spin_squared(triplet) - 2.0) < 1e-12
 
 
-def test_rvb_state_odd_periodic_forbid_equals_open(ladder_state):
-    _, per = ladder_state(3, "periodic", "forbid")
-    _, opn = ladder_state(3, "open", "forbid")
-    assert np.allclose(per, opn, atol=1e-14)
-
-
 def test_rvb_state_errors_when_no_covering():
-    # forbid every edge: the covering sum is empty and must be rejected
-    lat = build_ladder(3, "open")
-    no_dimers = dataclasses.replace(
-        lat, edges=tuple(dataclasses.replace(e, dimer_allowed=False)
-                         for e in lat.edges))
-    with pytest.raises(ValueError):
+    # an edgeless lattice: the covering sum is empty and must be rejected
+    no_dimers = LadderLattice(m=3, boundary="open", n=6,
+                              sublattice=("A", "B", "A", "B", "A", "B"), edges=())
+    with pytest.raises(ValueError, match="no dimer covering"):
         rvb_state(no_dimers)
 
 
@@ -167,27 +150,25 @@ def test_dump_state_rejects_complex_input(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
-def test_rvb_state_bit_identical_to_loop_sum(m, boundary, odd_wrap):
-    lat = build_ladder(m, boundary, odd_wrap)
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_rvb_state_bit_identical_to_loop_sum(m, boundary):
+    lat = build_ladder(m, boundary)
     want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)
     assert rvb_state(lat).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap", oracles.CONFIGS)
-def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, odd_wrap):
-    coverings = enumerate_coverings(build_ladder(m, boundary, odd_wrap))
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_covering_terms_batch_is_per_covering_concatenation(m, boundary):
+    coverings = enumerate_coverings(build_ladder(m, boundary))
     indices, amps = _covering_terms(coverings)
     one_by_one = [_covering_terms([cov]) for cov in coverings]
     assert np.array_equal(indices, np.concatenate([i for i, _ in one_by_one]))
     assert amps.tobytes() == np.concatenate([a for _, a in one_by_one]).tobytes()
 
 
-@pytest.mark.parametrize("m, boundary, odd_wrap",
-                         [c for c in oracles.CONFIGS if c[0] <= 6])  # N <= 12
-def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(
-        m, boundary, odd_wrap, ladder_state):
-    _, psi = ladder_state(m, boundary, odd_wrap)
+@pytest.mark.parametrize("m, boundary", [c for c in oracles.CONFIGS if c[0] <= 6])  # N <= 12
+def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, ladder_state):
+    _, psi = ladder_state(m, boundary)
     got = total_spin_squared(psi)
     assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
 

@@ -31,7 +31,7 @@ def test_rows_sorted_and_complete(twist_report):
     assert [r.n for r in twist_report.rows] == [6, 8, 10, 12]
     assert twist_report.failures == []
     for row in twist_report.rows:
-        exp = oracles.EXPECTED[(row.m, "periodic", "twist")]
+        exp = oracles.EXPECTED[(row.m, "periodic")]
         assert row.covering_count == exp["count"]
         assert abs(row.aggregates.p_r - float(exp["p_r"])) < 1e-11
         assert abs(row.aggregates.p_s - float(exp["p_s"])) < 1e-11
@@ -61,11 +61,10 @@ def test_fidelities_consistent(twist_report, tmp_path):
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
-@pytest.mark.parametrize("odd_wrap", ["forbid", "twist"])
-def test_written_fidelities_are_one_route_of_the_site_average(tmp_path, boundary, odd_wrap):
+def test_written_fidelities_are_one_route_of_the_site_average(tmp_path, boundary):
     # F = (p + 1)/2 of the record's own p_r, p_s and p_avg, whatever the degrees
     report = run_sweep(RunConfig(sizes=tuple(range(2, 9)), boundary=boundary,
-                                 odd_wrap=odd_wrap, out_dir=tmp_path, surface_res=2))
+                                 out_dir=tmp_path, surface_res=2))
     assert report.failures == []
     written = _written_fidelities(tmp_path)
     assert sorted(written) == [r.n for r in report.rows] == list(range(4, 17, 2))
@@ -73,7 +72,7 @@ def test_written_fidelities_are_one_route_of_the_site_average(tmp_path, boundary
         agg = row.aggregates
         want = tuple("" if p is None else format((p + 1.0) / 2.0, ".12g")
                      for p in (agg.p_r, agg.p_s, agg.p_avg))
-        assert written[row.n] == want, (row.n, boundary, odd_wrap)
+        assert written[row.n] == want, (row.n, boundary)
 
 
 def test_row_cross_identities(twist_report):
@@ -145,7 +144,7 @@ def test_csv_contents(tmp_path):
 
     config = (out / "detail" / "config.txt").read_text()
     assert "boundary=periodic" in config
-    assert "odd_wrap=twist" in config
+    assert "odd_wrap" not in config
     assert "theta_tol" not in config
 
     cloning = (out / "detail" / "cloning.csv").read_text().splitlines()
@@ -154,9 +153,9 @@ def test_csv_contents(tmp_path):
     assert abs(float(cloning[1].split(",")[-1])) <= 1e-12  # N = 6 windows touch
 
     edges = (out / "detail" / "edges.csv").read_text().splitlines()
-    assert edges[0] == "n,m,boundary,edge_a,edge_b,kind,allowed,p,residual"
+    assert edges[0] == "n,m,boundary,edge_a,edge_b,kind,p,residual"
     assert len(edges) == 1 + 9 + 12 + 15 + 18  # header + per-size edge counts
-    assert all(line.split(",")[6] in ("true", "false") for line in edges[1:])
+    assert all(line.split(",")[5] in ("rail", "step") for line in edges[1:])
 
 
 def test_csv_empty_cells_for_missing_values(tmp_path):
@@ -291,7 +290,6 @@ DEFAULT_SWEEP_DETAILS = {
     "detail/config.txt": (
         "sizes=3,4,5,6\n"
         "boundary=periodic\n"
-        "odd_wrap=twist\n"
         "surface_res=100\n"
         "dump_states=False\n"),
 }
@@ -309,61 +307,61 @@ DEFAULT_SWEEP_DETAILS_BUT_LAST_COLUMN = {
         "12,0.418604651163,0.666666666667,0.523598775598,"
         "0.433958540481:1.47667469577,0:0.523598775598\n"),
     "detail/edges.csv": (
-        "n,m,boundary,edge_a,edge_b,kind,allowed,p,residual\n"
-        "6,3,periodic,0,1,rail,true,0.555555555556\n"
-        "6,3,periodic,2,1,rail,true,0.555555555556\n"
-        "6,3,periodic,4,3,rail,true,0.555555555556\n"
-        "6,3,periodic,4,5,rail,true,0.555555555556\n"
-        "6,3,periodic,2,3,rail,true,0.555555555556\n"
-        "6,3,periodic,0,5,rail,true,0.555555555556\n"
-        "6,3,periodic,0,3,step,true,0.555555555556\n"
-        "6,3,periodic,4,1,step,true,0.555555555556\n"
-        "6,3,periodic,2,5,step,true,0.555555555556\n"
-        "8,4,periodic,0,1,rail,true,0.52380952381\n"
-        "8,4,periodic,2,1,rail,true,0.52380952381\n"
-        "8,4,periodic,2,3,rail,true,0.52380952381\n"
-        "8,4,periodic,5,4,rail,true,0.52380952381\n"
-        "8,4,periodic,5,6,rail,true,0.52380952381\n"
-        "8,4,periodic,7,6,rail,true,0.52380952381\n"
-        "8,4,periodic,0,3,rail,true,0.52380952381\n"
-        "8,4,periodic,7,4,rail,true,0.52380952381\n"
-        "8,4,periodic,0,4,step,true,0.52380952381\n"
-        "8,4,periodic,5,1,step,true,0.52380952381\n"
-        "8,4,periodic,2,6,step,true,0.52380952381\n"
-        "8,4,periodic,7,3,step,true,0.52380952381\n"
-        "10,5,periodic,0,1,rail,true,0.442786069652\n"
-        "10,5,periodic,2,1,rail,true,0.442786069652\n"
-        "10,5,periodic,2,3,rail,true,0.442786069652\n"
-        "10,5,periodic,4,3,rail,true,0.442786069652\n"
-        "10,5,periodic,6,5,rail,true,0.442786069652\n"
-        "10,5,periodic,6,7,rail,true,0.442786069652\n"
-        "10,5,periodic,8,7,rail,true,0.442786069652\n"
-        "10,5,periodic,8,9,rail,true,0.442786069652\n"
-        "10,5,periodic,4,5,rail,true,0.442786069652\n"
-        "10,5,periodic,0,9,rail,true,0.442786069652\n"
-        "10,5,periodic,0,5,step,true,0.641791044776\n"
-        "10,5,periodic,6,1,step,true,0.641791044776\n"
-        "10,5,periodic,2,7,step,true,0.641791044776\n"
-        "10,5,periodic,8,3,step,true,0.641791044776\n"
-        "10,5,periodic,4,9,step,true,0.641791044776\n"
-        "12,6,periodic,0,1,rail,true,0.418604651163\n"
-        "12,6,periodic,2,1,rail,true,0.418604651163\n"
-        "12,6,periodic,2,3,rail,true,0.418604651163\n"
-        "12,6,periodic,4,3,rail,true,0.418604651163\n"
-        "12,6,periodic,4,5,rail,true,0.418604651163\n"
-        "12,6,periodic,7,6,rail,true,0.418604651163\n"
-        "12,6,periodic,7,8,rail,true,0.418604651163\n"
-        "12,6,periodic,9,8,rail,true,0.418604651163\n"
-        "12,6,periodic,9,10,rail,true,0.418604651163\n"
-        "12,6,periodic,11,10,rail,true,0.418604651163\n"
-        "12,6,periodic,0,5,rail,true,0.418604651163\n"
-        "12,6,periodic,11,6,rail,true,0.418604651163\n"
-        "12,6,periodic,0,6,step,true,0.666666666667\n"
-        "12,6,periodic,7,1,step,true,0.666666666667\n"
-        "12,6,periodic,2,8,step,true,0.666666666667\n"
-        "12,6,periodic,9,3,step,true,0.666666666667\n"
-        "12,6,periodic,4,10,step,true,0.666666666667\n"
-        "12,6,periodic,11,5,step,true,0.666666666667\n"),
+        "n,m,boundary,edge_a,edge_b,kind,p,residual\n"
+        "6,3,periodic,0,1,rail,0.555555555556\n"
+        "6,3,periodic,2,1,rail,0.555555555556\n"
+        "6,3,periodic,4,3,rail,0.555555555556\n"
+        "6,3,periodic,4,5,rail,0.555555555556\n"
+        "6,3,periodic,2,3,rail,0.555555555556\n"
+        "6,3,periodic,0,5,rail,0.555555555556\n"
+        "6,3,periodic,0,3,step,0.555555555556\n"
+        "6,3,periodic,4,1,step,0.555555555556\n"
+        "6,3,periodic,2,5,step,0.555555555556\n"
+        "8,4,periodic,0,1,rail,0.52380952381\n"
+        "8,4,periodic,2,1,rail,0.52380952381\n"
+        "8,4,periodic,2,3,rail,0.52380952381\n"
+        "8,4,periodic,5,4,rail,0.52380952381\n"
+        "8,4,periodic,5,6,rail,0.52380952381\n"
+        "8,4,periodic,7,6,rail,0.52380952381\n"
+        "8,4,periodic,0,3,rail,0.52380952381\n"
+        "8,4,periodic,7,4,rail,0.52380952381\n"
+        "8,4,periodic,0,4,step,0.52380952381\n"
+        "8,4,periodic,5,1,step,0.52380952381\n"
+        "8,4,periodic,2,6,step,0.52380952381\n"
+        "8,4,periodic,7,3,step,0.52380952381\n"
+        "10,5,periodic,0,1,rail,0.442786069652\n"
+        "10,5,periodic,2,1,rail,0.442786069652\n"
+        "10,5,periodic,2,3,rail,0.442786069652\n"
+        "10,5,periodic,4,3,rail,0.442786069652\n"
+        "10,5,periodic,6,5,rail,0.442786069652\n"
+        "10,5,periodic,6,7,rail,0.442786069652\n"
+        "10,5,periodic,8,7,rail,0.442786069652\n"
+        "10,5,periodic,8,9,rail,0.442786069652\n"
+        "10,5,periodic,4,5,rail,0.442786069652\n"
+        "10,5,periodic,0,9,rail,0.442786069652\n"
+        "10,5,periodic,0,5,step,0.641791044776\n"
+        "10,5,periodic,6,1,step,0.641791044776\n"
+        "10,5,periodic,2,7,step,0.641791044776\n"
+        "10,5,periodic,8,3,step,0.641791044776\n"
+        "10,5,periodic,4,9,step,0.641791044776\n"
+        "12,6,periodic,0,1,rail,0.418604651163\n"
+        "12,6,periodic,2,1,rail,0.418604651163\n"
+        "12,6,periodic,2,3,rail,0.418604651163\n"
+        "12,6,periodic,4,3,rail,0.418604651163\n"
+        "12,6,periodic,4,5,rail,0.418604651163\n"
+        "12,6,periodic,7,6,rail,0.418604651163\n"
+        "12,6,periodic,7,8,rail,0.418604651163\n"
+        "12,6,periodic,9,8,rail,0.418604651163\n"
+        "12,6,periodic,9,10,rail,0.418604651163\n"
+        "12,6,periodic,11,10,rail,0.418604651163\n"
+        "12,6,periodic,0,5,rail,0.418604651163\n"
+        "12,6,periodic,11,6,rail,0.418604651163\n"
+        "12,6,periodic,0,6,step,0.666666666667\n"
+        "12,6,periodic,7,1,step,0.666666666667\n"
+        "12,6,periodic,2,8,step,0.666666666667\n"
+        "12,6,periodic,9,3,step,0.666666666667\n"
+        "12,6,periodic,4,10,step,0.666666666667\n"
+        "12,6,periodic,11,5,step,0.666666666667\n"),
 }
 
 
@@ -531,7 +529,7 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
     # every module that holds the function looks it up in its own namespace
     monkeypatch.setattr(sweep.lattice, "enumerate_coverings", counting)
     monkeypatch.setattr(sweep.state, "enumerate_coverings", counting)
-    row = sweep._run_size(sweep.lattice.build_ladder(5, "periodic", "twist"))
+    row = sweep._run_size(sweep.lattice.build_ladder(5, "periodic"))
     assert calls == [5]
     assert row.covering_count == 13
     assert row.state.tobytes() == rvb_ladder.rvb_state(row.lattice).tobytes()
@@ -568,12 +566,11 @@ def test_run_sweep_validation(monkeypatch):
     monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(), out_dir=None))
-    # m = 11 fails the MAX_SITES check, m = 1 and the bad names fail in
+    # m = 11 fails the MAX_SITES check, m = 1 and the bad boundary fail in
     # build_ladder; all of them before any size runs
     for bad in (RunConfig(sizes=(1,), out_dir=None),
                 RunConfig(sizes=(11,), out_dir=None),  # 22 sites too large
-                RunConfig(sizes=(3,), boundary="twisted", out_dir=None),
-                RunConfig(sizes=(3,), odd_wrap="bogus", out_dir=None)):
+                RunConfig(sizes=(3,), boundary="twisted", out_dir=None)):
         with pytest.raises(ValueError):
             run_sweep(bad)
     assert ran == []
@@ -613,16 +610,6 @@ def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, 
     assert ran == []
 
 
-def test_forbid_convention_run():
-    report = run_sweep(RunConfig(sizes=(3, 4, 5, 6), odd_wrap="forbid",
-                                 out_dir=None))
-    by_m = {r.m: r for r in report.rows}
-    assert by_m[3].cloning.theta_max is None
-    exp = oracles.EXPECTED[(5, "periodic", "forbid")]
-    assert abs(by_m[5].aggregates.p_r - float(exp["p_r"])) < 1e-11
-    assert by_m[5].cloning.theta_max == pytest.approx(exp["theta"], abs=2e-9)
-
-
 def test_cli_sweep_success(tmp_path, capsys):
     code = cli.main(["sweep", "--sizes", "3,4", "--out", str(tmp_path / "o"),
                      "--surface-res", "5"])
@@ -657,6 +644,16 @@ def test_cli_rejects_repeated_sizes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_has_no_odd_wrap_option(tmp_path, capsys):
+    # odd periodic ladders always take the twisted closure
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--odd-wrap", "twist", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--odd-wrap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_failures_with_exit_1(tmp_path, monkeypatch, capsys):
     def fake_run_sweep(config):
         report = EntanglementReport(config=config)
@@ -679,13 +676,11 @@ def test_cli_flags_reach_config(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     code = cli.main(["sweep", "--sizes", "4,6", "--boundary", "open",
                      "--out", str(tmp_path / "o"),
-                     "--dump-states", "--surface-res", "50",
-                     "--odd-wrap", "forbid"])
+                     "--dump-states", "--surface-res", "50"])
     assert code == 0
     cfg = seen["config"]
     assert cfg.sizes == (4, 6)
     assert cfg.boundary == "open"
-    assert cfg.odd_wrap == "forbid"
     assert cfg.dump_states is True
     assert cfg.surface_res == 50
     # without flags the CLI passes the library defaults
