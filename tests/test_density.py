@@ -139,13 +139,14 @@ def _support_marginals(monkeypatch, lattice, psi):
     return dict(zip(lattice.edges, seen))
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m, boundary):
-    lat, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m, boundary,
+                                                         closure):
+    lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     for e, rho in _support_marginals(monkeypatch, lat, psi).items():
         want = oracles.partial_trace(psi, [e.a, e.b])
         assert rho.shape == (4, 4)
-        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, e)
+        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, closure, e)
 
 
 @pytest.mark.parametrize("m, boundary", [(3, "open"), (4, "periodic"), (5, "periodic"),
@@ -221,9 +222,10 @@ def test_regional_entanglement_values(ladder_state):
         assert abs(agg.p_avg - float(exp["p_avg"])) < 1e-11, (m, b)
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary):
-    lat, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary,
+                                                               closure):
+    lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     fits, agg = edge_werner_parameters(lat, psi)
     assert agg.p_avg == oracles.reference_p_avg(lat, fits)
 

@@ -78,6 +78,14 @@ def test_rvb_state_matches_oracle_small():
         assert np.allclose(psi, want, atol=1e-10), (m, boundary)
 
 
+def test_rvb_state_matches_oracle_twist():
+    # the closure named positionally, as the benchmark builds its ladders
+    lat = build_ladder(3, "periodic", "twist")
+    psi = rvb_state(lat)
+    want = oracles.oracle_state(enumerate_coverings(lat), lat.n)
+    assert np.allclose(psi, want, atol=1e-10)
+
+
 def test_rvb_state_real_and_normalized(ladder_state):
     for m, b in oracles.EXPECTED:
         lat, psi = ladder_state(m, b)
@@ -150,25 +158,27 @@ def test_dump_state_rejects_complex_input(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_rvb_state_bit_identical_to_loop_sum(m, boundary):
-    lat = build_ladder(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_rvb_state_bit_identical_to_loop_sum(m, boundary, closure):
+    lat = build_ladder(*oracles.ladder_key(m, boundary, closure))
     want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)
     assert rvb_state(lat).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_covering_terms_batch_is_per_covering_concatenation(m, boundary):
-    coverings = enumerate_coverings(build_ladder(m, boundary))
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, closure):
+    coverings = enumerate_coverings(build_ladder(*oracles.ladder_key(m, boundary, closure)))
     indices, amps = _covering_terms(coverings)
     one_by_one = [_covering_terms([cov]) for cov in coverings]
     assert np.array_equal(indices, np.concatenate([i for i, _ in one_by_one]))
     assert amps.tobytes() == np.concatenate([a for _, a in one_by_one]).tobytes()
 
 
-@pytest.mark.parametrize("m, boundary", [c for c in oracles.CONFIGS if c[0] <= 6])  # N <= 12
-def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, ladder_state):
-    _, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure",
+                         oracles.with_closures(c for c in oracles.CONFIGS if c[0] <= 6))  # N <= 12
+def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, closure,
+                                                                ladder_state):
+    _, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     got = total_spin_squared(psi)
     assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
 
