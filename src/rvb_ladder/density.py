@@ -28,6 +28,26 @@ class WernerFit:
     werner_ok: bool = True  # residual within WERNER_TOL
 
 
+def _werner_fits(rho):
+    """(p, residual) of a stack of two-site marginals, `rho` of shape (..., 4, 4).
+
+    p = (4F - 1)/3 from the singlet fraction F = <s|rho|s>, and the residual
+    is the largest entrywise distance of rho from the Werner state at that p,
+    over all 16 entries. F is taken as one (1, 4) @ (4, 1) product per
+    matrix, the same product `werner_parameter` takes for a single one.
+    """
+    row = (_SINGLET @ rho)[..., None, :]
+    F = np.real(row @ _SINGLET[:, None])[..., 0, 0]
+    p = (4.0 * F - 1.0) / 3.0
+    model = (p[..., None, None] * _SINGLET_PROJECTOR
+             + ((1.0 - p) / 4.0)[..., None, None] * _IDENTITY)
+    return p, np.abs(rho - model).max(axis=(-2, -1))
+
+
+def _werner_fit(p, residual):
+    return WernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
+
+
 def werner_parameter(rho):
     """Werner parameter of a two-site marginal.
 
@@ -38,11 +58,8 @@ def werner_parameter(rho):
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    F = float(np.real(_SINGLET @ rho @ _SINGLET))
-    p = (4.0 * F - 1.0) / 3.0
-    model = p * _SINGLET_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY
-    residual = float(np.max(np.abs(rho - model)))
-    return WernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
+    p, residual = _werner_fits(rho)
+    return _werner_fit(float(p), float(residual))
 
 
 @dataclass(frozen=True)
@@ -52,15 +69,15 @@ class EdgeAggregates:
     p_avg: object  # float, or None when no site has degree 3
 
 
-def _pattern_weights(support, weight, n):
+def _pattern_weights(table, weight):
     """(P00, P01, P11) of the support, each an (n, n) matrix.
 
     P_ij[a, b] is the sum of the weights |psi(x)|^2 over the support indices
     x with x_a = i and x_b = j; P10 is P01 transposed. Each entry is its own
-    weighted sum over the (n, s) bit table of the support. Raises ValueError
+    weighted sum over the (n, s) bit `table` of the support. Raises ValueError
     when the support spans more than one S_z sector.
     """
-    bits = ((support >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, s)
+    bits = table.astype(np.float64)
     down = bits.sum(axis=0)
     if down.size and down.min() != down.max():
         raise ValueError("state mixes S_z sectors: its two-site marginals are not S_z blocks")
@@ -85,33 +102,47 @@ def edge_werner_parameters(lattice, state):
     must lie in one S_z sector, as every dimer covering does (S_z = 0), else
     ValueError. Then the ten entries that change the pair's S_z are exactly
     zero; the others are the four pattern weights on the diagonal and the
-    coherence rho[1, 2] = conj(rho[2, 1]). The whole 4 x 4 matrix goes to
-    `werner_parameter`, so the residual still covers all 16 entries.
+    coherence rho[1, 2] = conj(rho[2, 1]). The (edges, 4, 4) stack of whole
+    marginals is fitted at once, so each residual still covers all 16 entries.
     """
     psi = np.asarray(state)
     n = site_count(psi)
-    support = np.flatnonzero(psi)
+    edges = lattice.edges
+    support = np.flatnonzero(psi != 0)
     amps = psi[support]
-    p00, p01, p11 = _pattern_weights(support, (amps * amps.conj()).real, n)
-    fits = {}
-    for e in lattice.edges:
-        a, b = e.a, e.b
-        flip = (1 << a) | (1 << b)
-        # rows with x_a = 1; where x_b = 1 too, x ^ flip leaves the sector and reads 0
-        rows = np.flatnonzero(support & (1 << a))
-        coherence = np.vdot(psi[support[rows] ^ flip], amps[rows])
-        rho = np.array([[p00[a, b], 0.0, 0.0, 0.0],
-                        [0.0, p01[b, a], coherence, 0.0],
-                        [0.0, coherence.conjugate(), p01[a, b], 0.0],
-                        [0.0, 0.0, 0.0, p11[a, b]]])
-        fits[e] = werner_parameter(rho)
-    rail_ps = [fits[e].p for e in lattice.edges if e.kind == "rail"]
-    step_ps = [fits[e].p for e in lattice.edges if e.kind == "step"]
+    # (n, s) uint8 bit table, row k = bit k of each support index, unpacked
+    # from the indices' little-endian bytes: no int64 table is built
+    octets = support.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    table = np.unpackbits(octets[:, :(n + 7) // 8].T, axis=0, bitorder="little")[:n]
+    p00, p01, p11 = _pattern_weights(table, (amps * amps.conj()).real)
+    down = {}  # A site a -> the support indices x with x_a = 1, and their amplitudes
+    for site in {e.a for e in edges}:
+        rows = np.flatnonzero(table[site])
+        down[site] = support[rows], amps[rows]
+    coherence = []
+    for e in edges:
+        # where x_b = 1 too, x ^ flip leaves the sector and reads 0
+        x, amp = down[e.a]
+        coherence.append(np.vdot(psi[x ^ ((1 << e.a) | (1 << e.b))], amp))
+    coherence = np.array(coherence)
+    a = np.array([e.a for e in edges], dtype=np.intp)
+    b = np.array([e.b for e in edges], dtype=np.intp)
+    rho = np.zeros((len(edges), 4, 4), dtype=np.result_type(coherence, p00))
+    rho[:, 0, 0] = p00[a, b]
+    rho[:, 1, 1] = p01[b, a]
+    rho[:, 1, 2] = coherence
+    rho[:, 2, 1] = coherence.conj()
+    rho[:, 2, 2] = p01[a, b]
+    rho[:, 3, 3] = p11[a, b]
+    p, residual = _werner_fits(rho)
+    fits = {e: _werner_fit(pe, re) for e, pe, re in zip(edges, p.tolist(), residual.tolist())}
+
+    kinds = np.array([e.kind for e in edges])
     incident = [[] for _ in lattice.sites]
-    for e in lattice.edges:
-        incident[e.a].append(fits[e].p)
-        incident[e.b].append(fits[e].p)
-    regional = [float(np.mean(ps)) for ps in incident if len(ps) == 3]
-    p_avg = sum(regional) / len(regional) if regional else None
-    return fits, EdgeAggregates(p_r=float(np.mean(rail_ps)), p_s=float(np.mean(step_ps)),
-                                p_avg=p_avg)
+    for i, e in enumerate(edges):
+        incident[e.a].append(i)
+        incident[e.b].append(i)
+    triples = [ids for ids in incident if len(ids) == 3]
+    p_avg = sum(np.mean(p[triples], axis=1).tolist()) / len(triples) if triples else None
+    return fits, EdgeAggregates(p_r=float(np.mean(p[kinds == "rail"])),
+                                p_s=float(np.mean(p[kinds == "step"])), p_avg=p_avg)

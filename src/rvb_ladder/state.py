@@ -60,21 +60,24 @@ def rvb_state(lattice):
 def total_spin_squared(state):
     """<psi| S_tot^2 |psi> from S^2 = S_- S_+ + S_z^2 + S_z.
 
-    So <S^2> = |S_+ psi|^2 + <S_z^2 + S_z>. S_+ psi is built on the
-    (2,)*n tensor: site k raises a down spin (index 1 on its axis) to up.
+    So <S^2> = |S_+ psi|^2 + <S_z^2 + S_z>. Both terms are read off the
+    support, the nonzero amplitudes: site k raises each support index x with
+    x_k = 1 (down) to x ^ 2^k, by one fancy add per site whose targets are
+    distinct, and the same masks count the down spins for S_z. The sites go
+    from n - 1 down to 0, the axis order of the (2,)*n tensor, so each entry
+    of S_+ psi adds its terms in the order of the dense strided adds over
+    those axes, which the tests keep as the reference.
     """
     psi = np.asarray(state)
     n = site_count(psi)
-    tensor = psi.reshape([2] * n)
-    raised = np.zeros_like(tensor)
-    for axis in range(n):
-        lead = (slice(None),) * axis
-        raised[lead + (0,)] += tensor[lead + (1,)]
-
-    # S_z is diagonal: n/2 minus the number of down spins, read on the support
-    support = np.flatnonzero(psi)
-    sz = n / 2 - sum((support >> k) & 1 for k in range(n))
+    support = np.flatnonzero(psi != 0)
     amps = psi[support]
+    raised = np.zeros_like(psi)
+    sz = np.full(support.size, n / 2)
+    for k in reversed(range(n)):
+        down = (support & (1 << k)) != 0
+        raised[support[down] ^ (1 << k)] += amps[down]
+        sz -= down
     weight = (amps * amps.conj()).real
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
@@ -94,7 +97,7 @@ def dump_state(state, path, m, boundary):
     n = site_count(psi)
     bits = np.ascontiguousarray(psi).view(np.int64)
     # -0.0 has a nonzero bit pattern, so it is in the support with its own text
-    support = np.flatnonzero(bits)
+    support = np.flatnonzero(bits != 0)
     values, which = np.unique(bits[support], return_inverse=True)
     text = [f"{float(amp):.17g}\n" for amp in values.view(np.float64)]
     gaps = np.diff(support, prepend=-1) - 1

@@ -4,6 +4,8 @@ Everything here is deliberately written by a different route than the package
 code: coverings come from subset enumeration instead of backtracking, state
 amplitudes from per-index sign products or per-orientation loops instead of
 one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
+or S_+ psi by N strided adds over the dense tensor instead of one scatter
+per site on the support,
 marginals from explicit index loops or the dense reshape/transpose partial
 trace instead of pattern weights and coherences read off the support, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
@@ -352,6 +354,28 @@ def oracle_total_spin_squared(psi):
         phase = np.where(bit == 0, 1j, -1j)
         sy[flipped] = sy[flipped] + 0.5 * phase * psi
     return out + float(np.vdot(sx, sx).real) + float(np.vdot(sy, sy).real)
+
+
+def dense_total_spin_squared(state):
+    """<psi| S_tot^2 |psi> from S^2 = S_- S_+ + S_z^2 + S_z.
+
+    So <S^2> = |S_+ psi|^2 + <S_z^2 + S_z>. S_+ psi is built on the
+    (2,)*n tensor: site k raises a down spin (index 1 on its axis) to up.
+    """
+    psi = np.asarray(state)
+    n = site_count(psi)
+    tensor = psi.reshape([2] * n)
+    raised = np.zeros_like(tensor)
+    for axis in range(n):
+        lead = (slice(None),) * axis
+        raised[lead + (0,)] += tensor[lead + (1,)]
+
+    # S_z is diagonal: n/2 minus the number of down spins, read on the support
+    support = np.flatnonzero(psi)
+    sz = n / 2 - sum((support >> k) & 1 for k in range(n))
+    amps = psi[support]
+    weight = (amps * amps.conj()).real
+    return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
 
 def reference_dump(psi, path, m, boundary):

@@ -102,6 +102,39 @@ def test_werner_parameter_validation():
         werner_parameter(np.eye(2) / 2.0)
 
 
+def _assert_stacked_fit_is_single_fit(rho):
+    p, residual = density._werner_fits(rho)
+    assert p.shape == residual.shape == rho.shape[:1]
+    for i, matrix in enumerate(rho):
+        fit = werner_parameter(matrix)
+        assert abs(p[i] - fit.p) <= 4e-16 and abs(residual[i] - fit.residual) <= 4e-16, i
+        assert (residual[i] <= density.WERNER_TOL) == fit.werner_ok, i
+
+
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_stacked_werner_fit_matches_single_fit_on_ladder_marginals(ladder_state, m, boundary):
+    lat, psi = ladder_state(m, boundary)
+    _assert_stacked_fit_is_single_fit(
+        np.array([oracles.partial_trace(psi, [e.a, e.b]) for e in lat.edges]))
+
+
+def test_stacked_werner_fit_matches_single_fit_on_random_hermitian_matrices():
+    rng = np.random.default_rng(21)
+    s = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    stack = []
+    for scale in (1.0, 1e-3, 1e-8, 1e-9, 1e-12):  # either side of WERNER_TOL
+        for _ in range(40):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            p = rng.uniform(-1.0 / 3.0, 1.0)
+            werner = p * np.outer(s, s) + (1.0 - p) / 4.0 * np.eye(4)
+            stack.append(werner + scale * (g + g.conj().T))
+    rho = np.array(stack)
+    _assert_stacked_fit_is_single_fit(rho)
+    _assert_stacked_fit_is_single_fit(rho.real.copy())
+    ok = density._werner_fits(rho)[1] <= density.WERNER_TOL
+    assert ok.any() and not ok.all()
+
+
 def test_single_site_marginals_maximally_mixed(ladder_state):
     for m, b in oracles.EXPECTED:
         lat, psi = ladder_state(m, b)
@@ -129,14 +162,16 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
 
 
 def _support_marginals(monkeypatch, lattice, psi):
-    """The 4 x 4 marginal `edge_werner_parameters` hands `werner_parameter`, per edge."""
+    """The 4 x 4 marginal of each edge, split off the one stack that
+    `edge_werner_parameters` hands the fit kernel."""
     seen = []
-    fit = density.werner_parameter
-    monkeypatch.setattr(density, "werner_parameter", lambda rho: seen.append(rho) or fit(rho))
+    fit = density._werner_fits
+    monkeypatch.setattr(density, "_werner_fits", lambda rho: seen.append(rho) or fit(rho))
     fits, _ = edge_werner_parameters(lattice, psi)
     monkeypatch.undo()
-    assert len(seen) == len(fits) == len(lattice.edges)
-    return dict(zip(lattice.edges, seen))
+    assert len(seen) == 1
+    assert seen[0].shape == (len(fits), 4, 4) and len(fits) == len(lattice.edges)
+    return dict(zip(lattice.edges, seen[0]))
 
 
 @pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))

@@ -191,6 +191,46 @@ def test_total_spin_squared_signed_zeros_and_subnormals():
     psi /= np.linalg.norm(psi)
     got = total_spin_squared(psi)
     assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
+    assert got == oracles.dense_total_spin_squared(psi)
+
+
+# The support route adds the same nonzero terms into each entry of S_+ psi in
+# the same order as the dense strided adds, so the two agree bit for bit.
+
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_total_spin_squared_bit_identical_to_dense_raise_on_ladders(m, boundary, closure,
+                                                                    ladder_state):
+    _, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
+    assert total_spin_squared(psi) == oracles.dense_total_spin_squared(psi)
+
+
+@pytest.mark.parametrize("m, boundary", [(3, "open"), (4, "periodic"), (5, "periodic"),
+                                         (6, "open"), (8, "periodic")])
+def test_total_spin_squared_bit_identical_to_dense_raise_on_complex_phases(m, boundary,
+                                                                           ladder_state):
+    _, psi = ladder_state(m, boundary)
+    support = np.flatnonzero(psi)
+    phases = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, support.size)
+    twisted = psi.astype(complex)
+    twisted[support] *= np.exp(1j * phases)
+    got = total_spin_squared(twisted)
+    assert got > 1e-3  # the phases break the singlet
+    assert got == oracles.dense_total_spin_squared(twisted)
+
+
+@pytest.mark.parametrize("n, down", [(2, 1), (5, 2), (8, 3), (8, 4), (10, 7)])
+def test_total_spin_squared_bit_identical_to_dense_raise_in_one_sz_sector(n, down):
+    rng = np.random.default_rng(10 * n + down)
+    sector = [x for x in range(1 << n) if bin(x).count("1") == down]
+    for dtype in (float, complex):
+        psi = np.zeros(1 << n, dtype=dtype)
+        psi[sector] = rng.standard_normal(len(sector))
+        if dtype is complex:
+            psi[sector] += 1j * rng.standard_normal(len(sector))
+        psi /= np.linalg.norm(psi)
+        got = total_spin_squared(psi)
+        assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12, (n, down, dtype)
+        assert got == oracles.dense_total_spin_squared(psi), (n, down, dtype)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -198,9 +238,13 @@ def test_total_spin_squared_matches_pauli_sum_oracle(n):
     rng = np.random.default_rng(100 + n)
     real = rng.standard_normal(1 << n)
     cplx = real + 1j * rng.standard_normal(1 << n)
-    for psi in (real / np.linalg.norm(real), cplx / np.linalg.norm(cplx)):
+    sparse = np.where(rng.random(1 << n) < 0.3, real, 0.0)
+    sparse[[0, (1 << n) - 1]] = 0.5, -0.25  # all up and all down: S_z = +-n/2
+    for psi in (real / np.linalg.norm(real), cplx / np.linalg.norm(cplx),
+                sparse / np.linalg.norm(sparse)):
         got = total_spin_squared(psi)
         assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12, (n, psi.dtype)
+        assert got == oracles.dense_total_spin_squared(psi), (n, psi.dtype)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
