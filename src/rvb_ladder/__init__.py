@@ -9,8 +9,7 @@ entanglement.  `run_sweep` / the `rvb-ladder` CLI tie the pieces together and
 emit one CSV per published figure.
 """
 
-from .density import (EdgeAggregates, WernerFit, edge_werner_parameters,
-                      werner_parameter)
+from .density import EdgeAggregates, WernerFit, edge_werner_parameters
 from .lattice import (Edge, LadderLattice, build_ladder, count_coverings,
                       enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
@@ -25,7 +24,7 @@ __all__ = [
     "count_coverings",
     "rvb_state", "total_spin_squared",
     "dump_state",
-    "WernerFit", "werner_parameter", "EdgeAggregates",
+    "WernerFit", "EdgeAggregates",
     "edge_werner_parameters",
     "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",

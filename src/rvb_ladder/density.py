@@ -1,65 +1,27 @@
-"""Two-site marginals read off the support, Werner fits and their edge averages.
+"""Two-site marginals read off the support, Werner parameters and their edge averages.
 
 A rotationally invariant two-qubit state is a Werner state
 rho(p) = p |s><s| + (1 - p)/4 I with -1/3 <= p <= 1, entangled iff p > 1/3.
-The parameter is extracted from the singlet fraction F = <s|rho|s> as
-p = (4F - 1)/3, and a residual records how far rho is from the exact
-Werner form at that p.
+In the reduced basis s_a + 2 s_b of an edge (a, b) the directed singlet is
+|s> = (|01> - |10>)/sqrt(2) = (0, -1, 1, 0)/sqrt(2). The parameter is read
+from the singlet fraction F = <s|rho|s> as p = (4F - 1)/3, and a residual
+records how far rho is from the exact Werner form at that p.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import INV_SQRT2, site_count
+from .state import site_count
 
 WERNER_TOL = 1e-8
-
-# reduced basis: index = s_a + 2 s_b, a first (least significant)
-_SINGLET = np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
-_SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
-_IDENTITY = np.eye(4)
 
 
 @dataclass(frozen=True)
 class WernerFit:
     p: float
     residual: float
-    werner_ok: bool = True  # residual within WERNER_TOL
-
-
-def _werner_fits(rho):
-    """(p, residual) of a stack of two-site marginals, `rho` of shape (..., 4, 4).
-
-    p = (4F - 1)/3 from the singlet fraction F = <s|rho|s>, and the residual
-    is the largest entrywise distance of rho from the Werner state at that p,
-    over all 16 entries. F is taken as one (1, 4) @ (4, 1) product per
-    matrix, the same product `werner_parameter` takes for a single one.
-    """
-    row = (_SINGLET @ rho)[..., None, :]
-    F = np.real(row @ _SINGLET[:, None])[..., 0, 0]
-    p = (4.0 * F - 1.0) / 3.0
-    model = (p[..., None, None] * _SINGLET_PROJECTOR
-             + ((1.0 - p) / 4.0)[..., None, None] * _IDENTITY)
-    return p, np.abs(rho - model).max(axis=(-2, -1))
-
-
-def _werner_fit(p, residual):
-    return WernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
-
-
-def werner_parameter(rho):
-    """Werner parameter of a two-site marginal.
-
-    `rho` is the reduced density matrix of the edge's A site a and B site b,
-    with the A site the least significant reduced index; the directed
-    singlet of that orientation defines the singlet fraction.
-    """
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    p, residual = _werner_fits(rho)
-    return _werner_fit(float(p), float(residual))
+    werner_ok: bool  # residual within WERNER_TOL
 
 
 @dataclass(frozen=True)
@@ -69,24 +31,51 @@ class EdgeAggregates:
     p_avg: object  # float, or None when no site has degree 3
 
 
-def _pattern_weights(table, weight):
-    """(P00, P01, P11) of the support, each an (n, n) matrix.
+def _edge_marginals(edges, psi):
+    """(rho00, rho11, rho22, rho33, rho12) of every edge's marginal, each an array over edges.
 
-    P_ij[a, b] is the sum of the weights |psi(x)|^2 over the support indices
-    x with x_a = i and x_b = j; P10 is P01 transposed. Each entry is its own
-    weighted sum over the (n, s) bit `table` of the support. Raises ValueError
-    when the support spans more than one S_z sector.
+    The marginal of edge (a, b) is read off the support, the nonzero
+    amplitudes, in the reduced basis s_a + 2 s_b. The state must lie in one
+    S_z sector, as every dimer covering does (S_z = 0), else ValueError.
+    Then the ten entries that change the pair's S_z are exactly zero, and
+    rho21 = conj(rho12): these six entries are the whole marginal.
+
+    The diagonal holds the pattern weights P_ij[a, b], the sum of |psi(x)|^2
+    over the support indices x with x_a = i and x_b = j, each its own
+    weighted sum over the (n, s) bit table of the support (P10 is P01
+    transposed). The coherence rho12 pairs each x with x_a = 1 with its
+    partner x ^ 2^a ^ 2^b.
     """
+    n = site_count(psi)
+    support = np.flatnonzero(psi != 0)
+    amps = psi[support]
+    # (n, s) uint8 bit table, row k = bit k of each support index, unpacked
+    # from the indices' little-endian bytes: no int64 table is built
+    octets = support.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    table = np.unpackbits(octets[:, :(n + 7) // 8].T, axis=0, bitorder="little")[:n]
     bits = table.astype(np.float64)
     down = bits.sum(axis=0)
     if down.size and down.min() != down.max():
         raise ValueError("state mixes S_z sectors: its two-site marginals are not S_z blocks")
+    weight = (amps * amps.conj()).real
     weighted = bits * weight
     p11 = weighted @ bits.T
     np.subtract(weight, weighted, out=weighted)  # exact: weight where x = 0, else 0
     p01 = weighted @ bits.T
     np.subtract(1.0, bits, out=bits)
-    return weighted @ bits.T, p01, p11
+    p00 = weighted @ bits.T
+    down_at = {}  # A site a -> the support indices x with x_a = 1, and their amplitudes
+    for site in {e.a for e in edges}:
+        rows = np.flatnonzero(table[site])
+        down_at[site] = support[rows], amps[rows]
+    coherence = []
+    for e in edges:
+        # where x_b = 1 too, x ^ flip leaves the sector and reads 0
+        x, amp = down_at[e.a]
+        coherence.append(np.vdot(psi[x ^ ((1 << e.a) | (1 << e.b))], amp))
+    a = np.array([e.a for e in edges], dtype=np.intp)
+    b = np.array([e.b for e in edges], dtype=np.intp)
+    return p00[a, b], p01[b, a], p01[a, b], p11[a, b], np.array(coherence)
 
 
 def edge_werner_parameters(lattice, state):
@@ -98,44 +87,22 @@ def edge_werner_parameters(lattice, state):
     three edges, taken in edge order. Degree-2 corners of open ladders are
     skipped; p_avg is None when no site has degree 3 (the open m = 2 ladder).
 
-    Each marginal is read off the support, the nonzero amplitudes. The state
-    must lie in one S_z sector, as every dimer covering does (S_z = 0), else
-    ValueError. Then the ten entries that change the pair's S_z are exactly
-    zero; the others are the four pattern weights on the diagonal and the
-    coherence rho[1, 2] = conj(rho[2, 1]). The (edges, 4, 4) stack of whole
-    marginals is fitted at once, so each residual still covers all 16 entries.
+    p and the residual come in closed form from the six nonzero entries of
+    each marginal (`_edge_marginals`): F = (rho11 + rho22)/2 - Re rho12, so
+    p = (2 (rho11 + rho22) - 4 Re rho12 - 1)/3. The Werner model at p has
+    (1 - p)/4 at rho00 and rho33, (1 + p)/4 at rho11 and rho22, -p/2 at
+    rho12 and rho21, and zero at the other ten entries, where the marginal
+    is zero too; so the largest of the five distances below is the largest
+    entrywise distance over all 16 entries.
     """
-    psi = np.asarray(state)
-    n = site_count(psi)
     edges = lattice.edges
-    support = np.flatnonzero(psi != 0)
-    amps = psi[support]
-    # (n, s) uint8 bit table, row k = bit k of each support index, unpacked
-    # from the indices' little-endian bytes: no int64 table is built
-    octets = support.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    table = np.unpackbits(octets[:, :(n + 7) // 8].T, axis=0, bitorder="little")[:n]
-    p00, p01, p11 = _pattern_weights(table, (amps * amps.conj()).real)
-    down = {}  # A site a -> the support indices x with x_a = 1, and their amplitudes
-    for site in {e.a for e in edges}:
-        rows = np.flatnonzero(table[site])
-        down[site] = support[rows], amps[rows]
-    coherence = []
-    for e in edges:
-        # where x_b = 1 too, x ^ flip leaves the sector and reads 0
-        x, amp = down[e.a]
-        coherence.append(np.vdot(psi[x ^ ((1 << e.a) | (1 << e.b))], amp))
-    coherence = np.array(coherence)
-    a = np.array([e.a for e in edges], dtype=np.intp)
-    b = np.array([e.b for e in edges], dtype=np.intp)
-    rho = np.zeros((len(edges), 4, 4), dtype=np.result_type(coherence, p00))
-    rho[:, 0, 0] = p00[a, b]
-    rho[:, 1, 1] = p01[b, a]
-    rho[:, 1, 2] = coherence
-    rho[:, 2, 1] = coherence.conj()
-    rho[:, 2, 2] = p01[a, b]
-    rho[:, 3, 3] = p11[a, b]
-    p, residual = _werner_fits(rho)
-    fits = {e: _werner_fit(pe, re) for e, pe, re in zip(edges, p.tolist(), residual.tolist())}
+    r00, r11, r22, r33, c = _edge_marginals(edges, np.asarray(state))
+    p = (2.0 * (r11 + r22) - 4.0 * c.real - 1.0) / 3.0
+    mixed, singlet = (1.0 - p) / 4.0, (1.0 + p) / 4.0
+    residual = np.max([np.abs(r00 - mixed), np.abs(r33 - mixed), np.abs(r11 - singlet),
+                       np.abs(r22 - singlet), np.abs(c + p / 2.0)], axis=0)
+    fits = {e: WernerFit(p=pe, residual=re, werner_ok=re <= WERNER_TOL)
+            for e, pe, re in zip(edges, p.tolist(), residual.tolist())}
 
     kinds = np.array([e.kind for e in edges])
     incident = [[] for _ in lattice.sites]

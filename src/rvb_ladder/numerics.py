@@ -1,4 +1,4 @@
-"""Normal-equations polynomial fits for the figure captions."""
+"""Least-squares polynomial fits for the figure captions."""
 
 from dataclasses import dataclass
 
@@ -26,7 +26,9 @@ def _design(xs, model):
 
 
 def poly_fit(xs, ys, model):
-    """Normal-equations least squares with the given polynomial model."""
+    """Least squares with the given polynomial model, solved by `np.linalg.lstsq`
+    on the design matrix (an SVD), not by the normal equations, whose
+    condition number is the square of the design's."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     X = _design(xs, model)
@@ -34,9 +36,9 @@ def poly_fit(xs, ys, model):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
     if len(xs) < X.shape[1]:
         raise ValueError(f"{model} needs at least {X.shape[1]} points, got {len(xs)}")
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    coeff, _, rank, _ = np.linalg.lstsq(X, ys, rcond=None)
+    if rank < X.shape[1]:
         raise ValueError("singular design matrix (degenerate x values)")
-    coeff = np.linalg.solve(X.T @ X, X.T @ ys)
     resid = ys - X @ coeff
     return PolyFit(coefficients=tuple(float(c) for c in coeff), model=model,
                    mse=float(np.mean(resid ** 2)))

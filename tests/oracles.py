@@ -7,7 +7,9 @@ one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 or S_+ psi by N strided adds over the dense tensor instead of one scatter
 per site on the support,
 marginals from explicit index loops or the dense reshape/transpose partial
-trace instead of pattern weights and coherences read off the support, Schmidt
+trace instead of pattern weights and coherences read off the support, the
+Werner fit of the whole 4 x 4 marginal against all 16 model entries instead
+of the closed form on its six nonzero entries, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
 bipartition instead of one S_z block per split, the splits to solve from
 the symmetry orbits of a stabilizer chain of lattice generators (the orbit
@@ -18,7 +20,9 @@ group also by full enumeration instead of generators, the tangle from Wootters' 
 Werner closed form, p_avg by one edge-list scan per site instead of one
 pass over the edges, the cloning windows by grid scan and bisection instead
 of closed forms, the monogamy surface by a scalar double loop, and its CSV
-one formatted line per sample row instead of one write per grid row.
+one formatted line per sample row instead of one write per grid row, and
+the caption fits by exact rational normal equations instead of a float
+`lstsq`.
 """
 
 import itertools
@@ -27,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from rvb_ladder import measures
-from rvb_ladder.state import site_count, total_spin_squared
+from rvb_ladder import density, measures
+from rvb_ladder.state import INV_SQRT2, site_count, total_spin_squared
 
 # ---------------------------------------------------------------------------
 # literal lattices (hand-derived; site = row*m + col, A iff row+col even,
@@ -447,6 +451,30 @@ def oracle_werner_p(rho):
     return (4.0 * F - 1.0) / 3.0
 
 
+_SINGLET = np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
+_SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
+
+
+def werner_fit(rho):
+    """Werner fit of one 4 x 4 two-site marginal: the dense reference.
+
+    `rho` is the reduced density matrix of the edge's A site a and B site b,
+    with the A site the least significant reduced index; the directed
+    singlet of that orientation defines the singlet fraction F = <s|rho|s>.
+    p = (4F - 1)/3, and the residual is the largest entrywise distance of rho
+    from the Werner state at that p, over all 16 entries.
+    """
+    rho = np.asarray(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
+    row = (_SINGLET @ rho)[None, :]
+    F = float(np.real(row @ _SINGLET[:, None])[0, 0])
+    p = (4.0 * F - 1.0) / 3.0
+    model = p * _SINGLET_PROJECTOR + (1.0 - p) / 4.0 * np.eye(4)
+    residual = float(np.abs(rho - model).max())
+    return density.WernerFit(p=p, residual=residual, werner_ok=residual <= density.WERNER_TOL)
+
+
 def rail_and_step_ps(lattice, fits):
     """The p of each edge the two aggregates average: rails, steps.
 
@@ -598,13 +626,35 @@ def singlet_combination(terms, n):
     return psi / norm if norm > 1e-6 else None
 
 
+MODEL_POWERS = {"linear": (0, 1), "quadratic_no_linear_term": (0, 2),
+                "full_quadratic": (0, 1, 2)}
+
+
 def poly_value(fit, x):
     """A fitted polynomial at x, summing coefficient times power of x term by
     term from the model's list of powers."""
-    powers = {"linear": (0, 1), "quadratic_no_linear_term": (0, 2),
-              "full_quadratic": (0, 1, 2)}[fit.model]
     x = np.asarray(x, dtype=float)
-    return sum(c * x ** p for c, p in zip(fit.coefficients, powers))
+    return sum(c * x ** p for c, p in zip(fit.coefficients, MODEL_POWERS[fit.model]))
+
+
+def exact_least_squares(xs, ys, model):
+    """Least-squares coefficients of `model`, constant term first, as exact
+    Fractions of the float inputs: the normal equations over the rationals,
+    with the exact powers of x, solved by Gauss-Jordan elimination."""
+    powers = MODEL_POWERS[model]
+    rows = [[Fraction(x) ** p for p in powers] for x in xs]
+    ys = [Fraction(y) for y in ys]
+    k = len(powers)
+    system = [[sum(r[i] * r[j] for r in rows) for j in range(k)]
+              + [sum(r[i] * y for r, y in zip(rows, ys))] for i in range(k)]
+    for col in range(k):
+        pivot = next(i for i in range(col, k) if system[i][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for i in range(k):
+            if i != col and system[i][col] != 0:
+                factor = system[i][col] / system[col][col]
+                system[i] = [a - factor * b for a, b in zip(system[i], system[col])]
+    return [system[i][k] / system[i][i] for i in range(k)]
 
 
 def singular_values(matrix):

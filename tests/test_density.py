@@ -1,4 +1,5 @@
-"""Support marginals against the dense partial trace, Werner fits, edge averages."""
+"""Support marginals against the dense partial trace, the closed-form Werner fits against
+the dense 4 x 4 fit, edge averages."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from rvb_ladder import (RunConfig, build_ladder, density, edge_werner_parameters,
-                        run_sweep, rvb_state, werner_parameter)
+                        run_sweep, rvb_state)
 
 import oracles
 
@@ -67,14 +68,14 @@ def test_partial_trace_rejects_non_power_of_two_length():
 
 def test_werner_parameter_pure_singlet():
     rho = oracles.partial_trace(oracles.singlet_pair(), [0, 1])
-    fit = werner_parameter(rho)
+    fit = oracles.werner_fit(rho)
     assert abs(fit.p - 1.0) < 1e-12
     assert fit.residual < 1e-12
     assert fit.werner_ok
 
 
 def test_werner_parameter_maximally_mixed():
-    fit = werner_parameter(np.eye(4) / 4.0)
+    fit = oracles.werner_fit(np.eye(4) / 4.0)
     assert abs(fit.p) < 1e-12
     assert fit.residual < 1e-12
 
@@ -83,7 +84,7 @@ def test_werner_parameter_synthetic_family():
     s = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
     for p in (-1.0 / 3.0, 0.1, 1.0 / 3.0, 0.62, 1.0):
         rho = p * np.outer(s, s) + (1.0 - p) / 4.0 * np.eye(4)
-        fit = werner_parameter(rho)
+        fit = oracles.werner_fit(rho)
         assert abs(fit.p - p) < 1e-12
         assert fit.residual < 1e-12 and fit.werner_ok
 
@@ -91,7 +92,7 @@ def test_werner_parameter_synthetic_family():
 def test_werner_parameter_flags_non_werner_states():
     rho = np.zeros((4, 4))
     rho[0, 0] = 1.0  # |up,up><up,up| is not Werner
-    fit = werner_parameter(rho)
+    fit = oracles.werner_fit(rho)
     assert abs(fit.p - (-1.0 / 3.0)) < 1e-12  # F = 0
     assert fit.residual > 1e-2
     assert not fit.werner_ok
@@ -99,40 +100,58 @@ def test_werner_parameter_flags_non_werner_states():
 
 def test_werner_parameter_validation():
     with pytest.raises(ValueError, match="4x4"):
-        werner_parameter(np.eye(2) / 2.0)
+        oracles.werner_fit(np.eye(2) / 2.0)
 
 
-def _assert_stacked_fit_is_single_fit(rho):
-    p, residual = density._werner_fits(rho)
-    assert p.shape == residual.shape == rho.shape[:1]
-    for i, matrix in enumerate(rho):
-        fit = werner_parameter(matrix)
-        assert abs(p[i] - fit.p) <= 4e-16 and abs(residual[i] - fit.residual) <= 4e-16, i
-        assert (residual[i] <= density.WERNER_TOL) == fit.werner_ok, i
+def _assert_stacked_fit_is_single_fit(lattice, psi):
+    """The closed form of `edge_werner_parameters`, taken for all edges at
+    once, against the dense 4 x 4 fit of each edge's dense marginal."""
+    fits, _ = edge_werner_parameters(lattice, psi)
+    for e in lattice.edges:
+        want = oracles.werner_fit(oracles.partial_trace(psi, [e.a, e.b]))
+        assert abs(fits[e].p - want.p) <= 1e-15, e
+        assert abs(fits[e].residual - want.residual) <= 1e-15, e
+        assert fits[e].werner_ok == want.werner_ok, e
+    return [fit.werner_ok for fit in fits.values()]
 
 
 @pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
 def test_stacked_werner_fit_matches_single_fit_on_ladder_marginals(ladder_state, m, boundary):
+    assert all(_assert_stacked_fit_is_single_fit(*ladder_state(m, boundary)))
+
+
+COMPLEX_CASES = [(3, "open"), (4, "periodic"), (5, "periodic"), (6, "open")]
+
+
+def _complex_phases(psi, seed):
+    """`psi` with a random phase on each support amplitude."""
+    support = np.flatnonzero(psi)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, support.size)
+    twisted = psi.astype(complex)
+    twisted[support] *= np.exp(1j * phases)
+    return twisted
+
+
+@pytest.mark.parametrize("m, boundary", COMPLEX_CASES)
+def test_stacked_werner_fit_matches_single_fit_on_complex_states(ladder_state, m, boundary):
     lat, psi = ladder_state(m, boundary)
-    _assert_stacked_fit_is_single_fit(
-        np.array([oracles.partial_trace(psi, [e.a, e.b]) for e in lat.edges]))
+    _assert_stacked_fit_is_single_fit(lat, _complex_phases(psi, m))
 
 
-def test_stacked_werner_fit_matches_single_fit_on_random_hermitian_matrices():
-    rng = np.random.default_rng(21)
-    s = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    stack = []
-    for scale in (1.0, 1e-3, 1e-8, 1e-9, 1e-12):  # either side of WERNER_TOL
-        for _ in range(40):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            p = rng.uniform(-1.0 / 3.0, 1.0)
-            werner = p * np.outer(s, s) + (1.0 - p) / 4.0 * np.eye(4)
-            stack.append(werner + scale * (g + g.conj().T))
-    rho = np.array(stack)
-    _assert_stacked_fit_is_single_fit(rho)
-    _assert_stacked_fit_is_single_fit(rho.real.copy())
-    ok = density._werner_fits(rho)[1] <= density.WERNER_TOL
-    assert ok.any() and not ok.all()
+def test_stacked_werner_fit_matches_single_fit_on_perturbed_states(ladder_state):
+    # the liquid plus eps times a random unit vector of its S_z = 0 sector:
+    # residuals of order eps, either side of WERNER_TOL
+    for m, boundary in COMPLEX_CASES:
+        lat, psi = ladder_state(m, boundary)
+        rng = np.random.default_rng(m)
+        sector = [x for x in range(1 << lat.n) if bin(x).count("1") == lat.n // 2]
+        kick = np.zeros(1 << lat.n, dtype=complex)
+        kick[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
+        kick /= np.linalg.norm(kick)
+        for eps, ok in ((1e-12, True), (1e-6, False)):
+            perturbed = psi + eps * kick
+            oks = _assert_stacked_fit_is_single_fit(lat, perturbed / np.linalg.norm(perturbed))
+            assert oks == [ok] * len(lat.edges), (m, boundary, eps)
 
 
 def test_single_site_marginals_maximally_mixed(ladder_state):
@@ -161,17 +180,35 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
             assert abs(fit.p - oracles.oracle_werner_p(rho)) < 1e-10
 
 
+_NONZERO = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2))
+# the ten entries that change the pair's S_z: off the diagonal, outside rho[1, 2], rho[2, 1]
+_OFF_BLOCK = np.array([[i != j and {i, j} != {1, 2} for j in range(4)] for i in range(4)])
+
+
 def _support_marginals(monkeypatch, lattice, psi):
-    """The 4 x 4 marginal of each edge, split off the one stack that
-    `edge_werner_parameters` hands the fit kernel."""
+    """The 4 x 4 marginal of each edge, rebuilt from the six nonzero entries
+    that `edge_werner_parameters` reads off the support."""
     seen = []
-    fit = density._werner_fits
-    monkeypatch.setattr(density, "_werner_fits", lambda rho: seen.append(rho) or fit(rho))
+    read = density._edge_marginals
+    monkeypatch.setattr(density, "_edge_marginals",
+                        lambda edges, state: seen.append(read(edges, state)) or seen[-1])
     fits, _ = edge_werner_parameters(lattice, psi)
     monkeypatch.undo()
-    assert len(seen) == 1
-    assert seen[0].shape == (len(fits), 4, 4) and len(fits) == len(lattice.edges)
-    return dict(zip(lattice.edges, seen[0]))
+    assert len(seen) == 1 and len(fits) == len(lattice.edges)
+    assert all(entries.shape == (len(fits),) for entries in seen[0])
+    marginals = {}
+    for e, entries in zip(lattice.edges, zip(*seen[0])):
+        rho = np.zeros((4, 4), dtype=np.result_type(*entries))
+        for (i, j), value in zip(_NONZERO, entries):
+            rho[i, j] = value
+        rho[2, 1] = np.conj(rho[1, 2])
+        marginals[e] = rho
+    return marginals
+
+
+def _assert_is_dense_marginal(rho, want, case):
+    assert np.max(np.abs(rho - want)) <= 1e-15, case
+    assert np.count_nonzero(_OFF_BLOCK) == 10 and np.all(want[_OFF_BLOCK] == 0), case
 
 
 @pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
@@ -179,23 +216,18 @@ def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypat
                                                          closure):
     lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     for e, rho in _support_marginals(monkeypatch, lat, psi).items():
-        want = oracles.partial_trace(psi, [e.a, e.b])
-        assert rho.shape == (4, 4)
-        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, closure, e)
+        _assert_is_dense_marginal(rho, oracles.partial_trace(psi, [e.a, e.b]),
+                                  (m, boundary, closure, e))
 
 
-@pytest.mark.parametrize("m, boundary", [(3, "open"), (4, "periodic"), (5, "periodic"),
-                                         (6, "open")])
+@pytest.mark.parametrize("m, boundary", COMPLEX_CASES)
 def test_support_marginals_of_a_complex_state(ladder_state, monkeypatch, m, boundary):
     lat, psi = ladder_state(m, boundary)
-    support = np.flatnonzero(psi)
-    phases = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, support.size)
-    twisted = psi.astype(complex)
-    twisted[support] *= np.exp(1j * phases)
+    twisted = _complex_phases(psi, m)
     for e, rho in _support_marginals(monkeypatch, lat, twisted).items():
-        want = oracles.partial_trace(twisted, [e.a, e.b])
         assert np.iscomplexobj(rho)
-        assert np.max(np.abs(rho - want)) <= 1e-15, (m, boundary, e)
+        _assert_is_dense_marginal(rho, oracles.partial_trace(twisted, [e.a, e.b]),
+                                  (m, boundary, e))
 
 
 @pytest.mark.parametrize("down", [1, 2, 3, 5])
@@ -210,7 +242,7 @@ def test_support_marginals_of_a_random_state_in_one_sz_sector(monkeypatch, down)
     for e, rho in _support_marginals(monkeypatch, lat, psi).items():
         want = oracles.partial_trace(psi, [e.a, e.b])
         assert abs(want[1, 1] - want[2, 2]) > 1e-3, e
-        assert np.max(np.abs(rho - want)) <= 1e-15, (down, e)
+        _assert_is_dense_marginal(rho, want, (down, e))
 
 
 def test_support_marginals_refuse_a_state_mixing_sz_sectors():

@@ -108,6 +108,23 @@ def test_fig7_fit_reports_reference_deviation(twist_report):
     assert max(abs(d) for d in delta) > 0.1
 
 
+def test_caption_fits_are_the_exact_least_squares(twist_report):
+    # every coefficient against the exact rational least squares of the same
+    # float inputs; normal equations solved in float64 missed the open
+    # sweep's Fig. 7 quadratic by a relative 1.4e-9
+    open_report = run_sweep(RunConfig(boundary="open", surface_res=2))
+    for report in (twist_report, open_report):
+        ns, thetas = zip(*[(r.n, r.cloning.theta_max) for r in report.rows
+                           if r.cloning.theta_max is not None])
+        inputs = {"fig6_linear": (ns, thetas), "fig6_quadratic": (ns, thetas),
+                  "fig7_quadratic": ([r.aggregates.p_s for r in report.rows],
+                                     [r.aggregates.p_r for r in report.rows])}
+        for name, fit in report.fits.items():
+            exact = oracles.exact_least_squares(*inputs[name], fit.model)
+            for got, want in zip(fit.coefficients, exact, strict=True):
+                assert abs(got - want) <= 1e-11 * abs(want), (name, got, float(want))
+
+
 def test_emit_csv_file_set(tmp_path):
     run_sweep(RunConfig(sizes=(3, 4), out_dir=tmp_path / "out", surface_res=10))
     out = tmp_path / "out"
