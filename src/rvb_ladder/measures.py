@@ -220,15 +220,13 @@ def ggm(state):
     if spin_sq > _SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
 
-    masks = np.arange(1, (1 << n) - 1, 2)  # bit 0 always set, complement never empty
-    bound = _sector_weight_bounds(psi, n)
+    bound = _sector_weight_bounds(psi, n)  # entry i bounds the odd mask 2i + 1
     first = int(np.argmax(bound))
-    floor = _schmidt_sq_max(psi, n, int(masks[first]))
+    floor = _schmidt_sq_max(psi, n, 2 * first + 1)
     near = bound >= floor - _PRUNE_MARGIN
     near[first] = False
-    solved = np.append(masks[first], masks[near])
-    lam2 = np.array([floor] + [_schmidt_sq_max(psi, n, mask)
-                               for mask in masks[near].tolist()])
+    solved = 2 * np.append(first, np.flatnonzero(near)) + 1
+    lam2 = np.array([floor] + [_schmidt_sq_max(psi, n, mask) for mask in solved[1:].tolist()])
     best = float(lam2.max())
     tied = tuple(np.sort(solved[best - lam2 <= _TIE_TOL]).tolist())
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best, mask=tied[0],

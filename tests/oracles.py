@@ -444,13 +444,6 @@ def oracle_partial_trace(psi, keep):
     return rho
 
 
-def oracle_werner_p(rho):
-    """Werner parameter from the singlet fraction, reduced index = s_a + 2 s_b."""
-    s = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    F = float(np.real(s @ np.asarray(rho) @ s))
-    return (4.0 * F - 1.0) / 3.0
-
-
 _SINGLET = np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
 _SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
 
@@ -808,6 +801,8 @@ PAPER_SIZES = ((3, "periodic"), (4, "periodic"), (5, "periodic"), (6, "periodic"
 
 # every ladder configuration with N = 2m <= 16 sites
 CONFIGS = [(m, boundary) for m in range(2, 9) for boundary in ("open", "periodic")]
+# every ladder configuration with N = 2m <= 12 sites
+SMALL_CONFIGS = [(m, boundary) for m, boundary in CONFIGS if m <= 6]
 
 # The parametrized tests name each ladder under the two closures an odd
 # periodic ladder once had. "twist" is the one build_ladder keeps; "forbid"

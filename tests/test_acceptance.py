@@ -208,7 +208,7 @@ def test_criterion_7_oracle_equivalence():
         fits, _ = edge_werner_parameters(lat, psi)
         for e, fit in fits.items():
             rho = oracles.oracle_partial_trace(psi, [e.a, e.b])
-            if abs(fit.p - oracles.oracle_werner_p(rho)) > 1e-10:
+            if abs(fit.p - oracles.werner_fit(rho).p) > 1e-10:
                 problems.append(f"m={m} edge ({e.a},{e.b}) p mismatch")
         if abs(ggm(psi).value - oracles.oracle_ggm(psi)) > 1e-10:
             problems.append(f"m={m} GGM mismatch")

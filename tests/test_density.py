@@ -177,7 +177,7 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
         fits, _ = edge_werner_parameters(lat, psi)
         for e, fit in fits.items():
             rho = oracles.oracle_partial_trace(psi, [e.a, e.b])
-            assert abs(fit.p - oracles.oracle_werner_p(rho)) < 1e-10
+            assert abs(fit.p - oracles.werner_fit(rho).p) < 1e-10
 
 
 _NONZERO = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2))

@@ -11,8 +11,6 @@ from rvb_ladder.measures import MAX_SITES
 
 import oracles
 
-ALL_CONFIGS = [(m, b) for m in range(2, 7) for b in ("open", "periodic")]
-
 # every configuration the sweep accepts, N = 2m <= MAX_SITES
 SWEEP_CONFIGS = [(m, b) for m in range(2, MAX_SITES // 2 + 1) for b in ("open", "periodic")]
 
@@ -105,7 +103,7 @@ def test_enumeration_matches_brute_force_small():
 
 
 def test_enumeration_matches_brute_force_all_configs():
-    for m, b in ALL_CONFIGS:
+    for m, b in oracles.SMALL_CONFIGS:
         lat = build_ladder(m, b)
         got = enumerate_coverings(lat)
         want = oracles.brute_force_coverings(lat.n, [(e.a, e.b) for e in lat.edges])
@@ -113,7 +111,7 @@ def test_enumeration_matches_brute_force_all_configs():
 
 
 def test_every_covering_is_a_perfect_matching():
-    for m, b in ALL_CONFIGS:
+    for m, b in oracles.SMALL_CONFIGS:
         lat = build_ladder(m, b)
         for covering in enumerate_coverings(lat):
             seen = [s for pair in covering for s in pair]

@@ -43,7 +43,7 @@ def test_wootters_tangle_on_rvb_marginals(ladder_state):
         lat, psi = ladder_state(m, b)
         for e in lat.edges:
             rho = oracles.partial_trace(psi, [e.a, e.b])
-            p = oracles.oracle_werner_p(rho)
+            p = oracles.werner_fit(rho).p
             assert abs(tangle_from_density_matrix(rho) - tangle(p)) < 1e-10
 
 
@@ -366,12 +366,10 @@ def test_ggm_ties_include_column_aligned_split(ladder_state):
 # eigensolver roundoff
 SYMMETRY_VALUE_TOL = 64 * np.finfo(float).eps
 
-# every (m, boundary) with N <= 12
-SMALL_CONFIGS = [(m, b) for m in range(2, 7) for b in ("open", "periodic")]
 # N = 14 on both boundaries and periodic N = 16
 LARGE_CONFIGS = [(7, "open"), (7, "periodic"), (8, "periodic")]
 # the dense scan would take about 30 s at N = 16, so it stops at N = 14
-SYMMETRY_CONFIGS = SMALL_CONFIGS + LARGE_CONFIGS[:2]
+SYMMETRY_CONFIGS = oracles.SMALL_CONFIGS + LARGE_CONFIGS[:2]
 
 
 def test_ggm_symmetry_route_matches_full_scan(ladder_state):
@@ -393,7 +391,7 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
             assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
 
 
-@pytest.mark.parametrize("key", oracles.with_closures(SMALL_CONFIGS)
+@pytest.mark.parametrize("key", oracles.with_closures(oracles.SMALL_CONFIGS)
                          + [(*k, "twist") for k in LARGE_CONFIGS])
 def test_ggm_generators_give_the_whole_group_record(ladder_state, key):
     # the generators' orbits are the group's, so the same representatives
@@ -470,7 +468,7 @@ def test_ggm_permutes_the_basis_once_per_symmetry(ladder_state, monkeypatch):
         return real(values, perm)
 
     monkeypatch.setattr(oracles, "permute_bits", counting)
-    for key in SMALL_CONFIGS:
+    for key in oracles.SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         syms = oracles.automorphisms(lat)
         calls.clear()
@@ -494,7 +492,7 @@ def test_ggm_sector_block_matches_svd_oracle_on_every_orbit(ladder_state, monkey
         return top
 
     monkeypatch.setattr(measures, "_schmidt_sq_max", recording)
-    for key in SMALL_CONFIGS:
+    for key in oracles.SMALL_CONFIGS:
         lat, psi = ladder_state(*key)
         calls.clear()
         oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
@@ -600,7 +598,7 @@ def _assert_bound_holds(psi):
 
 
 def test_sector_weight_bound_holds_on_every_small_ladder(ladder_state):
-    for key in SMALL_CONFIGS:
+    for key in oracles.SMALL_CONFIGS:
         _assert_bound_holds(ladder_state(*key)[1])
 
 

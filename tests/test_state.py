@@ -174,8 +174,7 @@ def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, closure
     assert amps.tobytes() == np.concatenate([a for _, a in one_by_one]).tobytes()
 
 
-@pytest.mark.parametrize("m, boundary, closure",
-                         oracles.with_closures(c for c in oracles.CONFIGS if c[0] <= 6))  # N <= 12
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.SMALL_CONFIGS))
 def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, closure,
                                                                 ladder_state):
     _, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
