@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import site_count
+from .state import support_bits
 
 WERNER_TOL = 1e-8
 
@@ -42,17 +42,11 @@ def _edge_marginals(edges, psi):
 
     The diagonal holds the pattern weights P_ij[a, b], the sum of |psi(x)|^2
     over the support indices x with x_a = i and x_b = j, each its own
-    weighted sum over the (n, s) bit table of the support (P10 is P01
+    weighted sum over the (n, s) bit table of `support_bits` (P10 is P01
     transposed). The coherence rho12 pairs each x with x_a = 1 with its
     partner x ^ 2^a ^ 2^b.
     """
-    n = site_count(psi)
-    support = np.flatnonzero(psi != 0)
-    amps = psi[support]
-    # (n, s) uint8 bit table, row k = bit k of each support index, unpacked
-    # from the indices' little-endian bytes: no int64 table is built
-    octets = support.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    table = np.unpackbits(octets[:, :(n + 7) // 8].T, axis=0, bitorder="little")[:n]
+    support, amps, table = support_bits(psi)
     bits = table.astype(np.float64)
     down = bits.sum(axis=0)
     if down.size and down.min() != down.max():
@@ -95,8 +89,12 @@ def edge_werner_parameters(lattice, state):
     is zero too; so the largest of the five distances below is the largest
     entrywise distance over all 16 entries.
     """
+    psi = np.asarray(state)
+    if psi.size != 1 << lattice.n:
+        raise ValueError(f"state has {psi.size} amplitudes, the {lattice.n}-site lattice "
+                         f"m={lattice.m} {lattice.boundary} needs {1 << lattice.n}")
     edges = lattice.edges
-    r00, r11, r22, r33, c = _edge_marginals(edges, np.asarray(state))
+    r00, r11, r22, r33, c = _edge_marginals(edges, psi)
     p = (2.0 * (r11 + r22) - 4.0 * c.real - 1.0) / 3.0
     mixed, singlet = (1.0 - p) / 4.0, (1.0 + p) / 4.0
     residual = np.max([np.abs(r00 - mixed), np.abs(r33 - mixed), np.abs(r11 - singlet),

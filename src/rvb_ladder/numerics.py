@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FIT_MODELS = ("linear", "quadratic_no_linear_term", "full_quadratic")
+FIT_MODELS = {"linear": (0, 1), "quadratic_no_linear_term": (0, 2), "full_quadratic": (0, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -14,24 +14,15 @@ class PolyFit:
     mse: float  # mean of squared residuals over the fitted points
 
 
-def _design(xs, model):
-    xs = np.asarray(xs, dtype=float)
-    if model == "linear":
-        return np.column_stack([np.ones_like(xs), xs])
-    if model == "quadratic_no_linear_term":
-        return np.column_stack([np.ones_like(xs), xs * xs])
-    if model == "full_quadratic":
-        return np.column_stack([np.ones_like(xs), xs, xs * xs])
-    raise ValueError(f"model must be one of {FIT_MODELS}, got {model!r}")
-
-
 def poly_fit(xs, ys, model):
     """Least squares with the given polynomial model, solved by `np.linalg.lstsq`
     on the design matrix (an SVD), not by the normal equations, whose
     condition number is the square of the design's."""
+    if model not in FIT_MODELS:
+        raise ValueError(f"model must be one of {tuple(FIT_MODELS)}, got {model!r}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    X = _design(xs, model)
+    X = np.column_stack([xs ** k for k in FIT_MODELS[model]])
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
     if len(xs) < X.shape[1]:

@@ -57,27 +57,36 @@ def rvb_state(lattice):
     return psi
 
 
+def support_bits(psi):
+    """(support, amps, bits) of a 2^n-entry array: the increasing indices of its
+    nonzero entries, their amplitudes, and the (n, s) uint8 table whose row k is
+    bit k of each index, unpacked from the indices' little-endian bytes (no int64
+    table). -0.0 is not in it; `dump_state`, which writes -0.0, reads bit patterns."""
+    n = site_count(psi)
+    support = np.flatnonzero(psi != 0)
+    octets = support.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets[:, :(n + 7) // 8].T, axis=0, bitorder="little")[:n]
+    return support, psi[support], bits
+
+
 def total_spin_squared(state):
     """<psi| S_tot^2 |psi> from S^2 = S_- S_+ + S_z^2 + S_z.
 
     So <S^2> = |S_+ psi|^2 + <S_z^2 + S_z>. Both terms are read off the
-    support, the nonzero amplitudes: site k raises each support index x with
+    support (`support_bits`): site k raises each support index x with
     x_k = 1 (down) to x ^ 2^k, by one fancy add per site whose targets are
-    distinct, and the same masks count the down spins for S_z. The sites go
+    distinct, and S_z is n/2 minus the down count of each index. The sites go
     from n - 1 down to 0, the axis order of the (2,)*n tensor, so each entry
     of S_+ psi adds its terms in the order of the dense strided adds over
     those axes, which the tests keep as the reference.
     """
     psi = np.asarray(state)
-    n = site_count(psi)
-    support = np.flatnonzero(psi != 0)
-    amps = psi[support]
+    support, amps, bits = support_bits(psi)
     raised = np.zeros_like(psi)
-    sz = np.full(support.size, n / 2)
-    for k in reversed(range(n)):
-        down = (support & (1 << k)) != 0
+    for k in reversed(range(len(bits))):
+        down = bits[k].view(bool)
         raised[support[down] ^ (1 << k)] += amps[down]
-        sz -= down
+    sz = len(bits) / 2 - bits.sum(axis=0)
     weight = (amps * amps.conj()).real
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 

@@ -124,15 +124,15 @@ def _write_fig5(path, grid_resolution):
 
     Same bytes as `_write_csv` on rows of floats. Both columns sample one
     axis, so its values (the p_s of the first grid row) are formatted once,
-    with `_fmt`'s ".12g", into one bytes row template
-    `b"\\0,<p_s>,%.12g\\n"` per axis value. Each grid row puts its p_r text
-    in place of the NUL marks and formats its surface values with one `%`.
-    Bytes `%.12g` and `format(v, ".12g")` call the same CPython routine
-    (`PyOS_double_to_string`, mode 'g', precision 12), so the text is
-    `_fmt`'s; the axis text holds no `%` or NUL to be misread.
+    by `_fmt`, into one bytes row template `b"\\0,<p_s>,%.12g\\n"` per axis
+    value. Each grid row puts its p_r text in place of the NUL marks and
+    formats its surface values with one `%`. Bytes `%` and `format` with
+    `_fmt`'s spec call the same CPython routine (`PyOS_double_to_string`,
+    mode 'g', precision 12), so the text is `_fmt`'s; the axis text holds no
+    `%` or NUL to be misread.
     """
     surface = measures.monogamy_surface_sample(grid_resolution)
-    axis = [format(v, ".12g").encode() for v in surface[:grid_resolution, 1].tolist()]
+    axis = [_fmt(v).encode() for v in surface[:grid_resolution, 1].tolist()]
     template = b"".join(b"\0," + p_s + b",%.12g\n" for p_s in axis)
     values = surface[:, 2].tolist()
     with open(path, "wb") as fh:
@@ -151,7 +151,7 @@ def _output_dirs(out_dir):
 
 
 def _interval_str(interval):
-    return "" if interval is None else "{:.12g}:{:.12g}".format(*interval)
+    return "" if interval is None else ":".join(_fmt(v) for v in interval)
 
 
 def emit_csv(report, out_dir):

@@ -253,6 +253,15 @@ def test_support_marginals_refuse_a_state_mixing_sz_sectors():
         edge_werner_parameters(lat, psi / np.linalg.norm(psi))
 
 
+def test_edge_werner_parameters_refuse_a_state_of_another_lattice():
+    # an 8-site state on the 6-site lattice would read marginals of the wrong
+    # sites, a 6-site state on the 8-site lattice would index past its sites
+    for state_m, lattice_m in ((4, 3), (3, 4)):
+        psi = rvb_state(build_ladder(state_m, "periodic"))
+        with pytest.raises(ValueError, match=f"{psi.size} amplitudes, the {2 * lattice_m}-site"):
+            edge_werner_parameters(build_ladder(lattice_m, "periodic"), psi)
+
+
 def test_aggregates_match_expected_values(ladder_state):
     for (m, b), exp in oracles.EXPECTED.items():
         if "p_r" not in exp:

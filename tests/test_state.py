@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rvb_ladder import (LadderLattice, build_ladder, dump_state,
                         enumerate_coverings, rvb_state, total_spin_squared)
-from rvb_ladder.state import _covering_terms, site_count
+from rvb_ladder.state import _covering_terms, site_count, support_bits
 
 import oracles
 
@@ -320,3 +320,26 @@ def test_dump_state_bytes_match_the_line_writer_on_sparse_vectors(tmp_path_facto
     dump_state(psi, tmp / "got.txt", n // 2, "open")
     oracles.reference_dump(psi, tmp / "want.txt", n // 2, "open")
     assert (tmp / "got.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_support_bits_match_flatnonzero_and_shifts(data):
+    # n up to 18 unpacks one, two and three index bytes
+    n = data.draw(st.integers(1, 18), label="n")
+    last = (1 << n) - 1
+    index = st.one_of(st.sampled_from([0, last, 1 << (n - 1)]), st.integers(0, last))
+    value = st.one_of(_SPARSE_VALUES, st.complex_numbers(width=128))
+    entries = data.draw(st.dictionaries(index, value, max_size=64), label="entries")
+    dtype = complex if any(isinstance(v, complex) for v in entries.values()) else float
+    psi = np.zeros(1 << n, dtype=dtype)
+    psi[data.draw(index, label="-0.0 at")] = -0.0  # equals 0: not in the support
+    if entries:
+        psi[list(entries)] = list(entries.values())
+    support, amps, bits = support_bits(psi)
+    want = np.flatnonzero(psi != 0)
+    assert np.array_equal(support, want)
+    assert amps.tobytes() == psi[want].tobytes()
+    assert bits.dtype == np.uint8 and bits.shape == (n, want.size)
+    for k in range(n):
+        assert np.array_equal(bits[k], (want >> k) & 1), k

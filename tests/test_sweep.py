@@ -239,7 +239,7 @@ DEFAULT_SWEEP_FIGURES = {
         "12,0.225555700263\n"),
 }
 # the same figures of `rvb-ladder sweep --boundary open`, whose corner sites
-# have degree 2 and are left out of p_avg
+# have degree 2 and are left out of p_avg, and the caption fits of its figures
 DEFAULT_OPEN_SWEEP_FIGURES = {
     "fig2_p_rail.csv": (
         "n,p_r\n"
@@ -277,6 +277,13 @@ DEFAULT_OPEN_SWEEP_FIGURES = {
         "8,0.0622237788764\n"
         "10,0.0903481388765\n"
         "12,0.0783033175692\n"),
+    "detail/fits.csv": (
+        "figure,model,c0,c1,c2,mse\n"
+        "fig6_linear,linear,0.491524034876,-0.00171741363109,,2.43692485244e-05\n"
+        "fig6_quadratic,quadratic_no_linear_term,0.482243709486,-7.68877687049e-05,,"
+        "2.59077436827e-05\n"
+        "fig7_quadratic,full_quadratic,40.2196818813,-108.244829713,73.5972238857,"
+        "4.05815532132e-05\n"),
 }
 DEFAULT_SWEEP_DETAILS = {
     "detail/aggregates.csv": (
@@ -309,6 +316,13 @@ DEFAULT_SWEEP_DETAILS = {
         "boundary=periodic\n"
         "surface_res=100\n"
         "dump_states=False\n"),
+    "detail/fits.csv": (
+        "figure,model,c0,c1,c2,mse\n"
+        "fig6_linear,linear,0.748197193713,-0.0185639291255,,0.000609597669008\n"
+        "fig6_quadratic,quadratic_no_linear_term,0.671384192343,-0.00104956233441,,"
+        "0.00053050832242\n"
+        "fig7_quadratic,full_quadratic,-2.66958503845,11.598255965,-10.4737514056,"
+        "0.000171936191802\n"),
 }
 # all but the last column: the Werner residuals and the N = 6 cloning margin
 # are rounding-level (1e-16) and follow the BLAS summation order
