@@ -35,8 +35,10 @@ def _edge_marginals(edges, psi):
     """(rho00, rho11, rho22, rho33, rho12) of every edge's marginal, each an array over edges.
 
     The marginal of edge (a, b) is read off the support, the nonzero
-    amplitudes, in the reduced basis s_a + 2 s_b. The state must lie in one
-    S_z sector, as every dimer covering does (S_z = 0), else ValueError.
+    amplitudes, in the reduced basis s_a + 2 s_b. The state must be
+    normalized, its norm (from the support weights) within 1e-10 of 1 as
+    `ggm` asks, and lie in one S_z sector, as every dimer covering does
+    (S_z = 0), else ValueError.
     Then the ten entries that change the pair's S_z are exactly zero, and
     rho21 = conj(rho12): these six entries are the whole marginal.
 
@@ -52,6 +54,8 @@ def _edge_marginals(edges, psi):
     if down.size and down.min() != down.max():
         raise ValueError("state mixes S_z sectors: its two-site marginals are not S_z blocks")
     weight = (amps * amps.conj()).real
+    if abs(np.sqrt(weight.sum()) - 1.0) > 1e-10:
+        raise ValueError("state is not normalized")
     weighted = bits * weight
     p11 = weighted @ bits.T
     np.subtract(weight, weighted, out=weighted)  # exact: weight where x = 0, else 0

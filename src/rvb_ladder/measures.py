@@ -172,18 +172,29 @@ def _sector_weight_bounds(psi, n):
     """
     top = n // 4
     full = (1 << n) - 1
+    low, high = n // 2, n - n // 2
     weight = np.zeros((top + 1, 1 << n))
-    weight[0] = np.abs(psi) ** 2
+    # index bits 0..low-1 go to the slow axis, so that their passes, like
+    # those of the high bits, run on contiguous blocks of 2^high or more
+    weight[0].reshape(1 << low, 1 << high)[...] = (
+        (np.abs(psi) ** 2).reshape(1 << high, 1 << low).T)
     for bit in range(n):
-        pairs = weight.reshape(top + 1, -1, 2, 1 << bit)
+        if bit == low:  # back to index order, one row at a time
+            for row in weight:
+                row[:] = row.reshape(1 << low, 1 << high).T.ravel()
+        at = bit + high if bit < low else bit
+        pairs = weight.reshape(top + 1, -1, 2, 1 << at)
         up, down = pairs[:, :, 0], pairs[:, :, 1]  # bit clear / set in the index
-        for d in range(top, -1, -1):  # down[d - 1] still holds its old row
-            shifted = up[d] + down[d - 1] if d else up[d].copy()
-            up[d] += down[d]
-            down[d] = shifted
+        # down takes the sum without t and up the one with t, so the halves
+        # swap; rows above bit + 1 are still zero; top row first, so that
+        # down[d - 1] still holds its old row
+        for d in range(min(bit + 1, top), -1, -1):
+            down[d] += up[d]
+            if d:
+                up[d] += down[d - 1]
     for d in range(top, 0, -1):
         weight[d] -= weight[d - 1]
-    bound = weight.max(axis=0)
+    bound = weight.max(axis=0)[::-1]  # every pass swapped halves: x held ~x
     return np.maximum(bound[1:full:2], bound[full - 1:0:-2])
 
 

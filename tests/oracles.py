@@ -14,7 +14,9 @@ values from numpy's SVD, power iteration or the full Gram matrix of every
 bipartition instead of one S_z block per split, the splits to solve from
 the symmetry orbits of a stabilizer chain of lattice generators (the orbit
 route, which shares the package's S_z-block eigensolve) instead of the
-spin-sector weight bound, the amplitude dump line by line instead of once
+spin-sector weight bound, that bound's subset transform in index order
+with a temporary per degree row instead of in place on a layout with the
+low bits slow, the amplitude dump line by line instead of once
 per distinct support value between runs of zeros, the lattice symmetry
 group also by full enumeration instead of generators, the tangle from Wootters' concurrence instead of the
 Werner closed form, p_avg by one edge-list scan per site instead of one
@@ -272,6 +274,32 @@ def orbit_ggm(state, symmetries=()):
     return measures.GgmRecord(
         value=1.0 - best, max_schmidt_sq=best, mask=tied[0], tied_masks=tied,
         total_spin_sq=total_spin_squared(psi))
+
+
+def sector_weight_bounds(psi, n):
+    """`measures._sector_weight_bounds` in index order, one degree row at a time.
+
+    Every pass reads its bit through strided views of the index-ordered array
+    and forms each row's shifted half in a temporary; the package runs the
+    low bits' passes on a transposed layout, in place, with the halves
+    swapped. Both make the same additions on the same operands in the same
+    order, so they agree bit for bit.
+    """
+    top = n // 4
+    full = (1 << n) - 1
+    weight = np.zeros((top + 1, 1 << n))
+    weight[0] = np.abs(psi) ** 2
+    for bit in range(n):
+        pairs = weight.reshape(top + 1, -1, 2, 1 << bit)
+        up, down = pairs[:, :, 0], pairs[:, :, 1]  # bit clear / set in the index
+        for d in range(top, -1, -1):  # down[d - 1] still holds its old row
+            shifted = up[d] + down[d - 1] if d else up[d].copy()
+            up[d] += down[d]
+            down[d] = shifted
+    for d in range(top, 0, -1):
+        weight[d] -= weight[d - 1]
+    bound = weight.max(axis=0)
+    return np.maximum(bound[1:full:2], bound[full - 1:0:-2])
 
 
 def oracle_state(coverings, n):

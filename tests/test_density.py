@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rvb_ladder import (RunConfig, build_ladder, density, edge_werner_parameters,
-                        run_sweep, rvb_state)
+                        ggm, run_sweep, rvb_state)
 
 import oracles
 
@@ -338,3 +338,13 @@ def test_fidelities_beat_classical_for_paper_sizes(ladder_state):
         _, agg = edge_werner_parameters(lat, psi)
         for p in (agg.p_r, agg.p_s, agg.p_avg):
             assert (p + 1.0) / 2.0 > 2.0 / 3.0, (m, p)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.001])
+def test_edge_werner_parameters_refuse_an_unnormalized_state(ladder_state, scale):
+    # 1.001 psi gave p_r = p_s = 0.525525 (the liquid's is 11/21 = 0.523810)
+    # and the zero vector -1/3 on every edge; ggm refuses both alike
+    lat, psi = ladder_state(4, "periodic")
+    for call in (lambda: edge_werner_parameters(lat, scale * psi), lambda: ggm(scale * psi)):
+        with pytest.raises(ValueError, match="state is not normalized"):
+            call()

@@ -608,3 +608,56 @@ def test_sector_weight_bound_holds_on_random_singlets(data):
     psi = _random_singlet(data)
     assume(psi is not None)
     _assert_bound_holds(psi)
+
+
+def _assert_bounds_equal_the_oracle(psi, n):
+    got = measures._sector_weight_bounds(psi, n)
+    want = oracles.sector_weight_bounds(psi, n)
+    assert got.shape == want.shape == ((1 << (n - 1)) - 1,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_sector_weight_bounds_equal_the_index_order_transform_on_every_ladder(
+        ladder_state, boundary):
+    for m in range(2, 11):
+        _assert_bounds_equal_the_oracle(ladder_state(m, boundary)[1], 2 * m)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", range(1, 15))
+def test_sector_weight_bounds_equal_the_index_order_transform_on_random_vectors(n, dtype):
+    # odd n and n < 4, where no degree row above 0 is kept, included; the
+    # transform needs no singlet, and half the entries are zero
+    rng = np.random.default_rng(1000 * n + (dtype is np.complex128))
+    psi = rng.standard_normal(1 << n).astype(dtype)
+    if dtype is np.complex128:
+        psi += 1j * rng.standard_normal(1 << n)
+    psi[rng.permutation(1 << n)[:(1 << n) // 2]] = 0.0
+    _assert_bounds_equal_the_oracle(psi / np.linalg.norm(psi), n)
+
+
+# ggm records of the N = 18 and 20 ladders as the index-order transform gave
+# them: the mask, every tied mask and the .12g text of value and max_schmidt_sq
+LARGE_GGM = {
+    (9, "open"): (0x603, (0x603, 0xFE7F), "0.0820510738686", "0.917948926131"),
+    (9, "periodic"): (
+        0x603, (0x603, 0xFE7F, 0x20301, 0x27F3F, 0x33F9F, 0x39FCF, 0x3CFE7,
+                0x3E7F3, 0x3F3F9),
+        "0.197128563063", "0.802871436937"),
+    (10, "open"): (0xC03, (0xC03, 0x3FCFF), "0.0816940327222", "0.918305967278"),
+    (10, "periodic"): (
+        0xC03, (0xC03, 0x3FCFF, 0x80601, 0x9FE7F, 0xCFF3F, 0xE7F9F, 0xF3FCF,
+                0xF9FE7, 0xFCFF3, 0xFE7F9),
+        "0.195302427087", "0.804697572913"),
+}
+
+
+@pytest.mark.parametrize("m, boundary", sorted(LARGE_GGM))
+def test_ggm_records_above_sixteen_sites_are_pinned(ladder_state, m, boundary):
+    mask, tied, value, lam2 = LARGE_GGM[m, boundary]
+    rec = ggm(ladder_state(m, boundary)[1])
+    assert rec.mask == mask
+    assert rec.tied_masks == tied
+    assert format(rec.value, ".12g") == value
+    assert format(rec.max_schmidt_sq, ".12g") == lam2
