@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import site_count, total_spin_squared
+from .state import SINGLET_TOL, require_singlet, site_count
 
 _P_EPS = 1e-12
 _PHI = math.atan(1.0 / (2.0 * math.sqrt(2.0)))  # phase of the rail bound
 _TOUCH_TOL = 1e-12  # rounding slack for windows that touch in one angle
 _TIE_TOL = 1e-12  # Schmidt^2 gap below which two bipartitions tie
-_SINGLET_TOL = 1e-10  # largest <S^2> that `ggm` accepts as a total singlet
 # a split whose bound is this far below a solved split's Schmidt^2 cannot tie
 # the maximum: the <S^2> slack moves the bound and the Schmidt^2 by at most
-# 3 sqrt(_SINGLET_TOL / 2) together, and a second _TIE_TOL covers rounding
-_PRUNE_MARGIN = 3.0 * math.sqrt(_SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
+# 3 sqrt(SINGLET_TOL / 2) together, and a second _TIE_TOL covers rounding
+_PRUNE_MARGIN = 3.0 * math.sqrt(SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
 MAX_SITES = 20  # largest state the GGM scan and the sweep accept
 
 
@@ -205,7 +204,7 @@ def ggm(state):
     bipartition is the smallest-bitmask maximizer; exact symmetry can tie
     several splits, so every tied mask (within 1e-12) is kept alongside.
 
-    The state must be a normalized total singlet, <S^2> <= 1e-10, and
+    The state must be a normalized total singlet (`require_singlet`), and
     ValueError is raised otherwise; the record keeps the measured <S^2>.
     Then every reduced state rho_A commutes with spin rotations of A, so
     each of its spin multiplets has a member with S_z^A = 0 (k sites in A,
@@ -225,11 +224,7 @@ def ggm(state):
     n = site_count(psi)
     if n > MAX_SITES:
         raise ValueError(f"bipartition scan limited to {MAX_SITES} sites")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("state is not normalized")
-    spin_sq = total_spin_squared(psi)
-    if spin_sq > _SINGLET_TOL:
-        raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
+    spin_sq = require_singlet(psi)
 
     bound = _sector_weight_bounds(psi, n)  # entry i bounds the odd mask 2i + 1
     first = int(np.argmax(bound))

@@ -13,6 +13,9 @@ import numpy as np
 from .lattice import enumerate_coverings
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# largest <S^2> of a total singlet: its two-site marginals are then within
+# sqrt(2 <S^2>) = 4.5e-9 of Werner form, below density.WERNER_TOL = 1e-8
+SINGLET_TOL = 1e-17
 
 
 def site_count(psi):
@@ -89,6 +92,27 @@ def total_spin_squared(state):
     sz = len(bits) / 2 - bits.sum(axis=0)
     weight = (amps * amps.conj()).real
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
+
+
+def require_singlet(state, spin_sq=None):
+    """<S^2> of a normalized total singlet, the precondition of `ggm` and of
+    the Werner fits; ValueError for a length other than 2^n, a norm more
+    than 1e-10 from 1, or <S^2> above SINGLET_TOL.
+
+    `spin_sq` is the state's <S^2> if the caller has measured it already;
+    else it is measured here. The weight outside the singlet space is at
+    most <S^2>/2, which SINGLET_TOL keeps small enough for every two-site
+    marginal to be Werner-form within density.WERNER_TOL (docs/decisions.md).
+    """
+    psi = np.asarray(state)
+    site_count(psi)
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("state is not normalized")
+    if spin_sq is None:
+        spin_sq = total_spin_squared(psi)
+    if spin_sq > SINGLET_TOL:
+        raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
+    return spin_sq
 
 
 def dump_state(state, path, m, boundary):

@@ -40,10 +40,11 @@ class EntanglementReport:
 
 def _run_size(lat):
     psi = state.rvb_state(lat)
-    # ggm refuses a state that is not a total singlet and reports its S^2
+    # ggm refuses a state that is not a total singlet and reports its S^2,
+    # which the Werner fits take instead of measuring it again
     gg = measures.ggm(psi)
 
-    fits, agg = density.edge_werner_parameters(lat, psi)
+    fits, agg = density.edge_werner_parameters(lat, psi, spin_sq=gg.total_spin_sq)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
     # columns with both of their sites on the GGM mask's side
@@ -182,11 +183,8 @@ def emit_csv(report, out_dir):
     edge_rows = []
     for r in rows:
         for e in r.lattice.edges:
-            f = r.fits[e]
-            edge_rows.append((r.n, r.m, r.lattice.boundary, e.a, e.b, e.kind,
-                              f.p, f.residual))
-    _write_csv(detail / "edges.csv",
-               ["n", "m", "boundary", "edge_a", "edge_b", "kind", "p", "residual"],
+            edge_rows.append((r.n, r.m, r.lattice.boundary, e.a, e.b, e.kind, r.fits[e].p))
+    _write_csv(detail / "edges.csv", ["n", "m", "boundary", "edge_a", "edge_b", "kind", "p"],
                edge_rows)
     agg_rows = []
     for r in rows:

@@ -7,9 +7,8 @@ one vectorised bincount, total spin from Pauli sums instead of S_- S_+,
 or S_+ psi by N strided adds over the dense tensor instead of one scatter
 per site on the support,
 marginals from explicit index loops or the dense reshape/transpose partial
-trace instead of pattern weights and coherences read off the support, the
-Werner fit of the whole 4 x 4 marginal against all 16 model entries instead
-of the closed form on its six nonzero entries, Schmidt
+trace, and the Werner fit of the whole 4 x 4 marginal against all 16 model
+entries, instead of one sigma^z sigma^z correlation product on the support, Schmidt
 values from numpy's SVD, power iteration or the full Gram matrix of every
 bipartition instead of one S_z block per split, the splits to solve from
 the symmetry orbits of a stabilizer chain of lattice generators (the orbit
@@ -29,6 +28,7 @@ the caption fits by exact rational normal equations instead of a float
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -476,6 +476,18 @@ _SINGLET = np.array([0.0, -INV_SQRT2, INV_SQRT2, 0.0])
 _SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
 
 
+@dataclass(frozen=True)
+class DenseWernerFit:
+    p: float
+    residual: float  # largest entrywise distance of rho from werner_state(p)
+    werner_ok: bool  # residual within WERNER_TOL
+
+
+def werner_state(p):
+    """The 4 x 4 Werner state p |s><s| + (1 - p)/4 I in the reduced basis s_a + 2 s_b."""
+    return p * _SINGLET_PROJECTOR + (1.0 - p) / 4.0 * np.eye(4)
+
+
 def werner_fit(rho):
     """Werner fit of one 4 x 4 two-site marginal: the dense reference.
 
@@ -491,9 +503,8 @@ def werner_fit(rho):
     row = (_SINGLET @ rho)[None, :]
     F = float(np.real(row @ _SINGLET[:, None])[0, 0])
     p = (4.0 * F - 1.0) / 3.0
-    model = p * _SINGLET_PROJECTOR + (1.0 - p) / 4.0 * np.eye(4)
-    residual = float(np.abs(rho - model).max())
-    return density.WernerFit(p=p, residual=residual, werner_ok=residual <= density.WERNER_TOL)
+    residual = float(np.abs(rho - werner_state(p)).max())
+    return DenseWernerFit(p=p, residual=residual, werner_ok=residual <= density.WERNER_TOL)
 
 
 def rail_and_step_ps(lattice, fits):

@@ -116,8 +116,10 @@ def test_criterion_2_werner_form(paper_run):
     worst_edge = 0.0
     worst_site = 0.0
     for row in report.rows:
-        for fit in row.fits.values():
-            worst_edge = max(worst_edge, fit.residual)
+        # each edge's dense marginal against the Werner state at its reported p
+        for e, fit in row.fits.items():
+            rho = oracles.partial_trace(row.state, [e.a, e.b])
+            worst_edge = max(worst_edge, float(np.max(np.abs(rho - oracles.werner_state(fit.p)))))
         for s in row.lattice.sites:
             rho = oracles.partial_trace(row.state, [s])
             worst_site = max(worst_site, float(np.max(np.abs(rho - np.eye(2) / 2.0))))

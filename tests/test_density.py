@@ -1,13 +1,15 @@
-"""Support marginals against the dense partial trace, the closed-form Werner fits against
-the dense 4 x 4 fit, edge averages."""
+"""Edge Werner parameters against the dense partial trace and 4 x 4 fit, the
+singlet precondition they share with `ggm`, edge averages."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (RunConfig, build_ladder, density, edge_werner_parameters,
-                        ggm, run_sweep, rvb_state)
+from rvb_ladder import (RunConfig, build_ladder, edge_werner_parameters, ggm, run_sweep,
+                        rvb_state, total_spin_squared)
 
 import oracles
 
@@ -103,21 +105,25 @@ def test_werner_parameter_validation():
         oracles.werner_fit(np.eye(2) / 2.0)
 
 
-def _assert_stacked_fit_is_single_fit(lattice, psi):
-    """The closed form of `edge_werner_parameters`, taken for all edges at
-    once, against the dense 4 x 4 fit of each edge's dense marginal."""
+def _werner_bound(psi):
+    """How far an accepted state's marginals may be from Werner form, and its
+    p from the dense fit's: sqrt(2 <S^2>) (docs/decisions.md), plus rounding."""
+    return math.sqrt(2.0 * total_spin_squared(psi)) + 1e-15
+
+
+def _assert_p_is_the_dense_fit(lattice, psi):
+    """Every edge's p against the dense 4 x 4 fit of its dense marginal."""
     fits, _ = edge_werner_parameters(lattice, psi)
+    bound = _werner_bound(psi)
     for e in lattice.edges:
         want = oracles.werner_fit(oracles.partial_trace(psi, [e.a, e.b]))
-        assert abs(fits[e].p - want.p) <= 1e-15, e
-        assert abs(fits[e].residual - want.residual) <= 1e-15, e
-        assert fits[e].werner_ok == want.werner_ok, e
-    return [fit.werner_ok for fit in fits.values()]
+        assert abs(fits[e].p - want.p) <= bound, e
+        assert want.residual <= bound and fits[e].werner_ok and want.werner_ok, e
 
 
 @pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
 def test_stacked_werner_fit_matches_single_fit_on_ladder_marginals(ladder_state, m, boundary):
-    assert all(_assert_stacked_fit_is_single_fit(*ladder_state(m, boundary)))
+    _assert_p_is_the_dense_fit(*ladder_state(m, boundary))
 
 
 COMPLEX_CASES = [(3, "open"), (4, "periodic"), (5, "periodic"), (6, "open")]
@@ -134,24 +140,27 @@ def _complex_phases(psi, seed):
 
 @pytest.mark.parametrize("m, boundary", COMPLEX_CASES)
 def test_stacked_werner_fit_matches_single_fit_on_complex_states(ladder_state, m, boundary):
+    # one global phase keeps the singlet; a phase per amplitude does not
     lat, psi = ladder_state(m, boundary)
-    _assert_stacked_fit_is_single_fit(lat, _complex_phases(psi, m))
+    phase = np.exp(1j * np.random.default_rng(m).uniform(0.0, 2.0 * np.pi))
+    _assert_p_is_the_dense_fit(lat, phase * psi)
+
+
+def _perturbed(lat, psi, eps, seed):
+    """The liquid plus eps times a random unit vector of its S_z = 0 sector, normalized."""
+    rng = np.random.default_rng(seed)
+    sector = [x for x in range(1 << lat.n) if bin(x).count("1") == lat.n // 2]
+    kick = np.zeros(1 << lat.n, dtype=complex)
+    kick[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
+    perturbed = psi + eps * kick / np.linalg.norm(kick)
+    return perturbed / np.linalg.norm(perturbed)
 
 
 def test_stacked_werner_fit_matches_single_fit_on_perturbed_states(ladder_state):
-    # the liquid plus eps times a random unit vector of its S_z = 0 sector:
-    # residuals of order eps, either side of WERNER_TOL
+    # eps = 1e-12 leaves <S^2> of order 1e-23, inside state.SINGLET_TOL
     for m, boundary in COMPLEX_CASES:
         lat, psi = ladder_state(m, boundary)
-        rng = np.random.default_rng(m)
-        sector = [x for x in range(1 << lat.n) if bin(x).count("1") == lat.n // 2]
-        kick = np.zeros(1 << lat.n, dtype=complex)
-        kick[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
-        kick /= np.linalg.norm(kick)
-        for eps, ok in ((1e-12, True), (1e-6, False)):
-            perturbed = psi + eps * kick
-            oks = _assert_stacked_fit_is_single_fit(lat, perturbed / np.linalg.norm(perturbed))
-            assert oks == [ok] * len(lat.edges), (m, boundary, eps)
+        _assert_p_is_the_dense_fit(lat, _perturbed(lat, psi, 1e-12, m))
 
 
 def test_single_site_marginals_maximally_mixed(ladder_state):
@@ -167,8 +176,21 @@ def test_edge_marginals_are_werner(ladder_state):
         lat, psi = ladder_state(m, b)
         fits, _ = edge_werner_parameters(lat, psi)
         for e, fit in fits.items():
-            assert fit.residual < 1e-8, (m, b, e)
+            rho = oracles.partial_trace(psi, [e.a, e.b])
+            assert np.max(np.abs(rho - oracles.werner_state(fit.p))) < 1e-8, (m, b, e)
             assert fit.werner_ok
+
+
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_pairs_that_share_no_edge_are_not_entangled(ladder_state, m, boundary):
+    # the liquid's pairwise entanglement is strictly nearest-neighbour: every
+    # other pair has p <= 1/3 by the dense fit (the largest, 1/7, at periodic m = 4)
+    lat, psi = ladder_state(m, boundary)
+    bonded = {frozenset((e.a, e.b)) for e in lat.edges}
+    for i, j in itertools.combinations(lat.sites, 2):
+        if frozenset((i, j)) not in bonded:
+            p = oracles.werner_fit(oracles.partial_trace(psi, [i, j])).p
+            assert p <= 1.0 / 3.0, (m, boundary, i, j, p)
 
 
 def test_edge_p_matches_index_loop_oracle_small(ladder_state):
@@ -180,77 +202,72 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
             assert abs(fit.p - oracles.werner_fit(rho).p) < 1e-10
 
 
-_NONZERO = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2))
-# the ten entries that change the pair's S_z: off the diagonal, outside rho[1, 2], rho[2, 1]
-_OFF_BLOCK = np.array([[i != j and {i, j} != {1, 2} for j in range(4)] for i in range(4)])
-
-
-def _support_marginals(monkeypatch, lattice, psi):
-    """The 4 x 4 marginal of each edge, rebuilt from the six nonzero entries
-    that `edge_werner_parameters` reads off the support."""
-    seen = []
-    read = density._edge_marginals
-    monkeypatch.setattr(density, "_edge_marginals",
-                        lambda edges, state: seen.append(read(edges, state)) or seen[-1])
-    fits, _ = edge_werner_parameters(lattice, psi)
-    monkeypatch.undo()
-    assert len(seen) == 1 and len(fits) == len(lattice.edges)
-    assert all(entries.shape == (len(fits),) for entries in seen[0])
-    marginals = {}
-    for e, entries in zip(lattice.edges, zip(*seen[0])):
-        rho = np.zeros((4, 4), dtype=np.result_type(*entries))
-        for (i, j), value in zip(_NONZERO, entries):
-            rho[i, j] = value
-        rho[2, 1] = np.conj(rho[1, 2])
-        marginals[e] = rho
-    return marginals
-
-
-def _assert_is_dense_marginal(rho, want, case):
-    assert np.max(np.abs(rho - want)) <= 1e-15, case
-    assert np.count_nonzero(_OFF_BLOCK) == 10 and np.all(want[_OFF_BLOCK] == 0), case
-
-
 @pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
-def test_support_marginals_equal_the_dense_partial_trace(ladder_state, monkeypatch, m, boundary,
-                                                         closure):
+def test_support_marginals_equal_the_dense_partial_trace(ladder_state, m, boundary, closure):
+    # the Werner state at each edge's p, read off the support, is the whole
+    # dense marginal: all 16 entries, the ten that change the pair's S_z too
     lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
-    for e, rho in _support_marginals(monkeypatch, lat, psi).items():
-        _assert_is_dense_marginal(rho, oracles.partial_trace(psi, [e.a, e.b]),
-                                  (m, boundary, closure, e))
+    fits, _ = edge_werner_parameters(lat, psi)
+    bound = _werner_bound(psi)
+    for e, fit in fits.items():
+        rho = oracles.partial_trace(psi, [e.a, e.b])
+        assert np.max(np.abs(rho - oracles.werner_state(fit.p))) <= bound, (m, boundary, e)
 
 
-@pytest.mark.parametrize("m, boundary", COMPLEX_CASES)
-def test_support_marginals_of_a_complex_state(ladder_state, monkeypatch, m, boundary):
-    lat, psi = ladder_state(m, boundary)
-    twisted = _complex_phases(psi, m)
-    for e, rho in _support_marginals(monkeypatch, lat, twisted).items():
-        assert np.iscomplexobj(rho)
-        _assert_is_dense_marginal(rho, oracles.partial_trace(twisted, [e.a, e.b]),
-                                  (m, boundary, e))
-
-
-@pytest.mark.parametrize("down", [1, 2, 3, 5])
-def test_support_marginals_of_a_random_state_in_one_sz_sector(monkeypatch, down):
-    # not a singlet, so rho[1, 1] != rho[2, 2] and the fits are not Werner-form
-    lat = build_ladder(3, "open")
+def _random_sector_state(down):
+    """A random complex state of the open m = 3 ladder with `down` down spins."""
     rng = np.random.default_rng(down)
-    psi = np.zeros(1 << lat.n, dtype=complex)
-    sector = [x for x in range(1 << lat.n) if bin(x).count("1") == down]
+    psi = np.zeros(1 << 6, dtype=complex)
+    sector = [x for x in range(1 << 6) if bin(x).count("1") == down]
     psi[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
-    psi /= np.linalg.norm(psi)
-    for e, rho in _support_marginals(monkeypatch, lat, psi).items():
-        want = oracles.partial_trace(psi, [e.a, e.b])
-        assert abs(want[1, 1] - want[2, 2]) > 1e-3, e
-        _assert_is_dense_marginal(rho, want, (down, e))
+    return build_ladder(3, "open"), psi / np.linalg.norm(psi)
 
 
-def test_support_marginals_refuse_a_state_mixing_sz_sectors():
+def _phased(m, boundary):
+    lat = build_ladder(m, boundary)
+    return lat, _complex_phases(rvb_state(lat), m)
+
+
+def _kicked(m, boundary):
+    lat = build_ladder(m, boundary)
+    return lat, _perturbed(lat, rvb_state(lat), 1e-6, m)
+
+
+def _mixed_sectors():
     lat = build_ladder(2, "open")
     psi = rvb_state(lat)
     psi[0] = 0.5  # all spins up: S_z = 2, next to the S_z = 0 liquid
-    with pytest.raises(ValueError, match="S_z sectors"):
-        edge_werner_parameters(lat, psi / np.linalg.norm(psi))
+    return lat, psi / np.linalg.norm(psi)
+
+
+NON_SINGLETS = {
+    **{f"one-sector-{down}": functools.partial(_random_sector_state, down)
+       for down in (1, 2, 3, 5)},
+    **{f"phases-{m}-{b}": functools.partial(_phased, m, b) for m, b in COMPLEX_CASES},
+    **{f"kick-1e-6-{m}-{b}": functools.partial(_kicked, m, b) for m, b in COMPLEX_CASES},
+    "mixed-sectors": _mixed_sectors,
+}
+
+
+@pytest.mark.parametrize("case", NON_SINGLETS)
+def test_edge_werner_parameters_refuse_a_non_singlet(case):
+    # normalized states whose marginals need not be Werner: random states of
+    # one S_z sector, the liquid with a phase per amplitude or plus 1e-6 of a
+    # random S_z = 0 vector, and the liquid mixed with another S_z sector;
+    # ggm refuses each through the same precondition
+    lat, psi = NON_SINGLETS[case]()
+    for call in (lambda: edge_werner_parameters(lat, psi), lambda: ggm(psi)):
+        with pytest.raises(ValueError, match="not a total singlet"):
+            call()
+
+
+def test_edge_werner_parameters_take_a_measured_spin_squared(ladder_state):
+    # the sweep passes ggm's <S^2>; the value is checked, not measured again
+    lat, psi = ladder_state(4, "periodic")
+    fits, _ = edge_werner_parameters(lat, psi)
+    assert edge_werner_parameters(lat, psi, spin_sq=0.0)[0] == fits
+    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = 1.000e-16"):
+        edge_werner_parameters(lat, psi, spin_sq=1e-16)
 
 
 def test_edge_werner_parameters_refuse_a_state_of_another_lattice():

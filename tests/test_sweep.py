@@ -170,7 +170,7 @@ def test_csv_contents(tmp_path):
     assert abs(float(cloning[1].split(",")[-1])) <= 1e-12  # N = 6 windows touch
 
     edges = (out / "detail" / "edges.csv").read_text().splitlines()
-    assert edges[0] == "n,m,boundary,edge_a,edge_b,kind,p,residual"
+    assert edges[0] == "n,m,boundary,edge_a,edge_b,kind,p"
     assert len(edges) == 1 + 9 + 12 + 15 + 18  # header + per-size edge counts
     assert all(line.split(",")[5] in ("rail", "step") for line in edges[1:])
 
@@ -323,22 +323,8 @@ DEFAULT_SWEEP_DETAILS = {
         "0.00053050832242\n"
         "fig7_quadratic,full_quadratic,-2.66958503845,11.598255965,-10.4737514056,"
         "0.000171936191802\n"),
-}
-# all but the last column: the Werner residuals and the N = 6 cloning margin
-# are rounding-level (1e-16) and follow the BLAS summation order
-DEFAULT_SWEEP_DETAILS_BUT_LAST_COLUMN = {
-    "detail/cloning.csv": (
-        "n,p_r,p_s,theta_max,s1_intervals,s2_intervals,margin\n"
-        "6,0.555555555556,0.555555555556,0.61547970867,"
-        "0.61547970867:1.29515352758,0:0.61547970867\n"
-        "8,0.52380952381,0.52380952381,0.640522312679,0.567719931469:1.34291330478,"
-        "0:0.640522312679\n"
-        "10,0.442786069652,0.641791044776,0.544886529386,"
-        "0.462442098535:1.44819113771,0:0.544886529386\n"
-        "12,0.418604651163,0.666666666667,0.523598775598,"
-        "0.433958540481:1.47667469577,0:0.523598775598\n"),
     "detail/edges.csv": (
-        "n,m,boundary,edge_a,edge_b,kind,p,residual\n"
+        "n,m,boundary,edge_a,edge_b,kind,p\n"
         "6,3,periodic,0,1,rail,0.555555555556\n"
         "6,3,periodic,2,1,rail,0.555555555556\n"
         "6,3,periodic,4,3,rail,0.555555555556\n"
@@ -393,6 +379,20 @@ DEFAULT_SWEEP_DETAILS_BUT_LAST_COLUMN = {
         "12,6,periodic,9,3,step,0.666666666667\n"
         "12,6,periodic,4,10,step,0.666666666667\n"
         "12,6,periodic,11,5,step,0.666666666667\n"),
+}
+# all but the last column: the N = 6 cloning margin is rounding-level (1e-16)
+# and follows the BLAS summation order
+DEFAULT_SWEEP_DETAILS_BUT_LAST_COLUMN = {
+    "detail/cloning.csv": (
+        "n,p_r,p_s,theta_max,s1_intervals,s2_intervals,margin\n"
+        "6,0.555555555556,0.555555555556,0.61547970867,"
+        "0.61547970867:1.29515352758,0:0.61547970867\n"
+        "8,0.52380952381,0.52380952381,0.640522312679,0.567719931469:1.34291330478,"
+        "0:0.640522312679\n"
+        "10,0.442786069652,0.641791044776,0.544886529386,"
+        "0.462442098535:1.44819113771,0:0.544886529386\n"
+        "12,0.418604651163,0.666666666667,0.523598775598,"
+        "0.433958540481:1.47667469577,0:0.523598775598\n"),
 }
 
 
@@ -567,8 +567,7 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
 
 
 def test_singlet_invariant_aborts_size(monkeypatch):
-    for module in (sweep.state, sweep.measures):
-        monkeypatch.setattr(module, "total_spin_squared", lambda psi: 1.0)
+    monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
     assert report.rows == []
     assert "not a total singlet" in report.failures[0][1]
@@ -582,8 +581,7 @@ def test_run_sweep_evaluates_total_spin_once_per_size(monkeypatch):
         calls.append(psi.size)
         return real(psi)
 
-    for module in (sweep.state, sweep.measures):
-        monkeypatch.setattr(module, "total_spin_squared", counting)
+    monkeypatch.setattr(sweep.state, "total_spin_squared", counting)
     report = run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=None))
     assert report.failures == []
     assert calls == [1 << 6, 1 << 8, 1 << 10]
