@@ -10,7 +10,7 @@ emit one CSV per published figure.
 """
 
 from .density import EdgeAggregates, WernerFit, edge_werner_parameters
-from .lattice import (Edge, LadderLattice, build_ladder, count_coverings,
+from .lattice import (Edge, Lattice, build_ladder, count_coverings,
                       enumerate_coverings)
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
@@ -20,7 +20,7 @@ from .state import dump_state, rvb_state, total_spin_squared
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
 
 __all__ = [
-    "Edge", "LadderLattice", "build_ladder", "enumerate_coverings",
+    "Edge", "Lattice", "build_ladder", "enumerate_coverings",
     "count_coverings",
     "rvb_state", "total_spin_squared",
     "dump_state",

@@ -48,7 +48,7 @@ def edge_werner_parameters(lattice, state, spin_sq=None):
     psi = np.asarray(state)
     if psi.size != 1 << lattice.n:
         raise ValueError(f"state has {psi.size} amplitudes, the {lattice.n}-site lattice "
-                         f"m={lattice.m} {lattice.boundary} needs {1 << lattice.n}")
+                         f"needs {1 << lattice.n}")
     require_singlet(psi, spin_sq)
     _, amps, bits = support_bits(psi)
     signs = 1.0 - 2.0 * bits
@@ -64,7 +64,7 @@ def edge_werner_parameters(lattice, state, spin_sq=None):
         incident[e.b].append(i)
     triples = [ids for ids in incident if len(ids) == 3]
     p_avg = sum(np.mean(p[triples], axis=1).tolist()) / len(triples) if triples else None
-    # correctly rounded sums: a mean of equal p is that p, not one ulp off
+    # correctly rounded sums, so each mean is one rounding from the exact mean
     p_r, p_s = (math.fsum(ps) / len(ps) for ps in (p[kinds == kind].tolist()
                                                    for kind in ("rail", "step")))
     return fits, EdgeAggregates(p_r=p_r, p_s=p_s, p_avg=p_avg)

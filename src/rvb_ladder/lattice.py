@@ -1,10 +1,12 @@
-"""Two-leg ladder lattices and their nearest-neighbor dimer coverings.
+"""Bipartite lattices and their nearest-neighbor dimer coverings.
 
-Sites of a 2 x m ladder are indexed row-major: site = row * m + col with
-row in {0, 1}. The sublattice label is the checkerboard rule, A iff
-(row + col) is even. Edges within a row are "rails", edges within a
-column are "steps". Every edge joins the two sublattices and stores its
-A-site endpoint first.
+A `Lattice` is n sites with sublattice labels and an edge list; every edge
+joins the two sublattices and stores its A-site endpoint first. The
+enumeration, the count and the states read nothing else. `build_ladder` is
+the ladder constructor: sites of a 2 x m ladder are indexed row-major,
+site = row * m + col with row in {0, 1}, the sublattice label is the
+checkerboard rule, A iff (row + col) is even, and edges within a row are
+"rails", edges within a column are "steps".
 """
 
 from dataclasses import dataclass
@@ -21,13 +23,11 @@ class Edge:
     a: int
     b: int
     kind: str  # "rail" or "step"
-    index: int  # position in LadderLattice.edges (keeps parallel edges distinct)
+    index: int  # position in Lattice.edges (keeps parallel edges distinct)
 
 
 @dataclass(frozen=True)
-class LadderLattice:
-    m: int
-    boundary: str
+class Lattice:
     n: int
     sublattice: tuple  # sublattice[site] = "A" | "B"
     edges: tuple
@@ -72,7 +72,7 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     for col in range(m):
         add(0 * m + col, 1 * m + col, "step")
 
-    return LadderLattice(m=m, boundary=boundary, n=n, sublattice=sub, edges=tuple(edges))
+    return Lattice(n=n, sublattice=sub, edges=tuple(edges))
 
 
 def enumerate_coverings(lattice):

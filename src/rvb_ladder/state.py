@@ -53,7 +53,7 @@ def rvb_state(lattice):
     """
     coverings = enumerate_coverings(lattice)
     if not coverings:
-        raise ValueError(f"lattice m={lattice.m} {lattice.boundary} has no dimer covering")
+        raise ValueError(f"the {lattice.n}-site lattice has no dimer covering")
     indices, amps = _covering_terms(coverings)
     psi = np.bincount(indices, weights=amps, minlength=1 << lattice.n)
     psi /= np.linalg.norm(psi)

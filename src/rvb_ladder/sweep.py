@@ -38,7 +38,7 @@ class EntanglementReport:
     fits: dict = field(default_factory=dict)
 
 
-def _run_size(lat):
+def _run_size(m, lat):
     psi = state.rvb_state(lat)
     # ggm refuses a state that is not a total singlet and reports its S^2,
     # which the Werner fits take instead of measuring it again
@@ -48,9 +48,9 @@ def _run_size(lat):
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
     # columns with both of their sites on the GGM mask's side
-    whole_columns = sum((gg.mask >> c) & (gg.mask >> (c + lat.m)) & 1 for c in range(lat.m))
+    whole_columns = sum((gg.mask >> c) & (gg.mask >> (c + m)) & 1 for c in range(m))
 
-    return SizeRow(m=lat.m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
+    return SizeRow(m=m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
                    aggregates=agg, monogamy=mono, cloning=clone, ggm=gg,
                    steps_on_a_side=whole_columns, lattice=lat, state=psi)
 
@@ -66,19 +66,18 @@ def run_sweep(config):
             raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
     # build_ladder owns the checks on m >= 2 and boundary
-    lattices = [lattice.build_ladder(m, config.boundary)
-                for m in sorted(config.sizes)]
+    ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
     if config.surface_res < 2:
         raise ValueError(f"surface resolution {config.surface_res} < 2")
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
     report = EntanglementReport(config=config)
-    for lat in lattices:
+    for m, lat in ladders:
         try:
-            report.rows.append(_run_size(lat))
+            report.rows.append(_run_size(m, lat))
         except ValueError as exc:  # one bad size must not sink the rest
-            report.failures.append((lat.m, str(exc)))
+            report.failures.append((m, str(exc)))
     fit_figures(report)
     if config.out_dir is not None:
         emit_csv(report, config.out_dir)
@@ -183,7 +182,7 @@ def emit_csv(report, out_dir):
     edge_rows = []
     for r in rows:
         for e in r.lattice.edges:
-            edge_rows.append((r.n, r.m, r.lattice.boundary, e.a, e.b, e.kind, r.fits[e].p))
+            edge_rows.append((r.n, r.m, cfg.boundary, e.a, e.b, e.kind, r.fits[e].p))
     _write_csv(detail / "edges.csv", ["n", "m", "boundary", "edge_a", "edge_b", "kind", "p"],
                edge_rows)
     agg_rows = []
@@ -225,4 +224,4 @@ def emit_csv(report, out_dir):
 
     if cfg.dump_states:
         for r in rows:
-            state.dump_state(r.state, out / f"state_n{r.n}.txt", r.m, r.lattice.boundary)
+            state.dump_state(r.state, out / f"state_n{r.n}.txt", r.m, cfg.boundary)

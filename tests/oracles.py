@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from rvb_ladder import density, measures
+from rvb_ladder.lattice import Edge, Lattice
 from rvb_ladder.state import INV_SQRT2, site_count, total_spin_squared
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,22 @@ M3_OPEN_EDGES = (
     (0, 1, "rail"), (2, 1, "rail"), (4, 3, "rail"), (4, 5, "rail"),
     (0, 3, "step"), (4, 1, "step"), (2, 5, "step"),
 )
+
+
+def square_torus(rows, cols):
+    """rows x cols square lattice with both directions wrapped (both even),
+    site = row*cols + col; "rail" bonds run along rows, "step" bonds along
+    columns."""
+    sub = tuple("A" if (s // cols + s % cols) % 2 == 0 else "B"
+                for s in range(rows * cols))
+    edges = []
+    for s in range(rows * cols):
+        r, c = divmod(s, cols)
+        for t, kind in ((r * cols + (c + 1) % cols, "rail"),
+                        (((r + 1) % rows) * cols + c, "step")):
+            a, b = (s, t) if sub[s] == "A" else (t, s)
+            edges.append(Edge(a, b, kind, len(edges)))
+    return Lattice(n=rows * cols, sublattice=sub, edges=tuple(edges))
 
 
 def brute_force_coverings(n, edges):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rvb_ladder import (Edge, LadderLattice, build_ladder, count_coverings,
+from rvb_ladder import (Edge, Lattice, build_ladder, count_coverings,
                         enumerate_coverings)
 from rvb_ladder.measures import MAX_SITES
 
@@ -49,12 +49,13 @@ def test_periodic_m3_has_no_same_sublattice_edge():
 
 
 def test_twist_wrap_crosses_rows_and_restores_bipartiteness():
-    lat = build_ladder(5, "periodic")
+    m = 5
+    lat = build_ladder(m, "periodic")
     wraps = [e for e in lat.edges if e.kind == "rail"
-             and abs(e.a % lat.m - e.b % lat.m) > 1]
+             and abs(e.a % m - e.b % m) > 1]
     assert len(wraps) == 2
     for e in wraps:
-        assert e.a // lat.m != e.b // lat.m
+        assert e.a // m != e.b // m
     # with the twisted closure every edge joins the two sublattices
     for e in lat.edges:
         assert lat.sublattice[e.a] == "A" and lat.sublattice[e.b] == "B"
@@ -125,28 +126,13 @@ def test_count_matches_enumeration_everywhere():
         assert count_coverings(lat) == len(enumerate_coverings(lat)), (m, b)
 
 
-def _torus(rows, cols):
-    """rows x cols square lattice with both directions wrapped (both even)."""
-    sub = tuple("A" if (s // cols + s % cols) % 2 == 0 else "B"
-                for s in range(rows * cols))
-    edges = []
-    for s in range(rows * cols):
-        r, c = divmod(s, cols)
-        for t, kind in ((r * cols + (c + 1) % cols, "rail"),
-                        (((r + 1) % rows) * cols + c, "step")):
-            a, b = (s, t) if sub[s] == "A" else (t, s)
-            edges.append(Edge(a, b, kind, len(edges)))
-    return LadderLattice(m=cols, boundary="periodic", n=rows * cols, sublattice=sub,
-                         edges=tuple(edges))
-
-
 def test_count_on_a_torus_that_is_not_a_ladder():
     # the count reads only the bond matrix, so it holds off the ladder
-    lat = _torus(4, 4)
+    lat = oracles.square_torus(4, 4)
     assert count_coverings(lat) == len(enumerate_coverings(lat)) == 272
     # a three-site path A-B-A has unequal sublattices and no covering
-    path = LadderLattice(m=3, boundary="open", n=3, sublattice=("A", "B", "A"),
-                         edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
+    path = Lattice(n=3, sublattice=("A", "B", "A"),
+                   edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
     assert count_coverings(path) == len(enumerate_coverings(path)) == 0
 
 
@@ -166,8 +152,8 @@ def test_open_counts_follow_fibonacci_recurrence():
 def test_periodic_m3_site_and_edge_table():
     lat = build_ladder(3, "periodic")
     # (row, col) = divmod(site, m); A iff row + col is even
-    assert divmod(0, lat.m) == (0, 0) and lat.sublattice[0] == "A"
-    assert divmod(4, lat.m) == (1, 1) and lat.sublattice[4] == "A"
+    assert lat.sublattice[0] == "A"  # (0, 0)
+    assert lat.sublattice[4] == "A"  # (1, 1)
     table = [(e.a, e.b, e.kind) for e in lat.edges]
     assert (0, 1, "rail") in table
     assert (0, 5, "rail") in table  # the twisted wrap: top right to bottom left

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rvb_ladder import (RunConfig, cloning_theta_sets, edge_werner_parameters,
                         ggm, measures, monogamy_check, monogamy_surface_sample,
-                        run_sweep, tangle)
+                        run_sweep, rvb_state, tangle)
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -572,6 +572,28 @@ def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
     assert got.total_spin_sq == want.total_spin_sq
     assert abs(got.value - want.value) <= SYMMETRY_VALUE_TOL
     assert abs(got.max_schmidt_sq - want.max_schmidt_sq) <= SYMMETRY_VALUE_TOL
+
+
+def test_torus_bonds_and_ggm_match_the_oracles():
+    # the 4 x 4 torus is a plain lattice, not a ladder: the state, the edge
+    # fits and the GGM read only its sites and bonds. Its 272 coverings give
+    # integer amplitude sums c with |c|^2 = 1 559 232, and every one of its
+    # 32 bonds has p = 3620/8121 exactly
+    lat = oracles.square_torus(4, 4)
+    psi = rvb_state(lat)
+    fits, agg = edge_werner_parameters(lat, psi)
+    assert len(fits) == 32
+    for e, fit in fits.items():
+        assert abs(fit.p - 3620 / 8121) <= 1e-14, e
+        dense = oracles.werner_fit(oracles.partial_trace(psi, [e.a, e.b]))
+        assert abs(fit.p - dense.p) <= 1e-14, e
+    assert agg.p_avg is None  # every site has degree 4
+    got = ggm(psi)
+    want = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
+    assert got.mask == want.mask == 0xff
+    assert got.tied_masks == want.tied_masks == (0xff, 0x3333, 0x9999, 0xf00f)
+    assert abs(got.value - want.value) <= 1e-12
+    assert abs(got.value - 0.376468) <= 1e-6
 
 
 @pytest.mark.parametrize("key", oracles.with_closures(oracles.CONFIGS))

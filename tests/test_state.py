@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvb_ladder import (LadderLattice, build_ladder, dump_state,
+from rvb_ladder import (Lattice, build_ladder, dump_state,
                         enumerate_coverings, rvb_state, total_spin_squared)
 from rvb_ladder.state import _covering_terms, site_count, support_bits
 
@@ -111,8 +111,7 @@ def test_total_spin_squared_detects_non_singlets():
 
 def test_rvb_state_errors_when_no_covering():
     # an edgeless lattice: the covering sum is empty and must be rejected
-    no_dimers = LadderLattice(m=3, boundary="open", n=6,
-                              sublattice=("A", "B", "A", "B", "A", "B"), edges=())
+    no_dimers = Lattice(n=6, sublattice=("A", "B", "A", "B", "A", "B"), edges=())
     with pytest.raises(ValueError, match="no dimer covering"):
         rvb_state(no_dimers)
 
@@ -121,7 +120,7 @@ def test_dump_state_roundtrip(tmp_path):
     lat = build_ladder(2, "open")
     psi = rvb_state(lat)
     path = tmp_path / "state.txt"
-    dump_state(psi, path, lat.m, lat.boundary)
+    dump_state(psi, path, 2, "open")
     lines = path.read_text().splitlines()
     assert lines[0] == "rvb n=4 boundary=open m=2"
     values = [float(tok) for tok in lines[1:]]
@@ -257,8 +256,8 @@ def test_total_spin_squared_fully_polarised_is_exact(n):
 
 def test_dump_state_bytes_match_line_writer_n16(tmp_path, ladder_state):
     lat, psi = ladder_state(8, "periodic")
-    dump_state(psi, tmp_path / "got.txt", lat.m, lat.boundary)
-    oracles.reference_dump(psi, tmp_path / "want.txt", lat.m, lat.boundary)
+    dump_state(psi, tmp_path / "got.txt", 8, "periodic")
+    oracles.reference_dump(psi, tmp_path / "want.txt", 8, "periodic")
     assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 

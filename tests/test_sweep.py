@@ -554,14 +554,14 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
     calls = []
 
     def counting(lat):
-        calls.append(lat.m)
+        calls.append(lat.n)
         return real(lat)
 
     # every module that holds the function looks it up in its own namespace
     monkeypatch.setattr(sweep.lattice, "enumerate_coverings", counting)
     monkeypatch.setattr(sweep.state, "enumerate_coverings", counting)
-    row = sweep._run_size(sweep.lattice.build_ladder(5, "periodic"))
-    assert calls == [5]
+    row = sweep._run_size(5, sweep.lattice.build_ladder(5, "periodic"))
+    assert calls == [10]
     assert row.covering_count == 13
     assert row.state.tobytes() == rvb_ladder.rvb_state(row.lattice).tobytes()
 
@@ -592,7 +592,7 @@ def test_run_sweep_evaluates_total_spin_once_per_size(monkeypatch):
 
 def test_run_sweep_validation(monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(), out_dir=None))
     # m = 11 fails the MAX_SITES check, m = 1 and the bad boundary fail in
@@ -607,7 +607,7 @@ def test_run_sweep_validation(monkeypatch):
 
 def test_run_sweep_rejects_repeated_sizes(tmp_path, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
     out = tmp_path / "o"
     with pytest.raises(ValueError, match="repeated size"):
         run_sweep(RunConfig(sizes=(3, 3, 4, 5), out_dir=out))
@@ -623,7 +623,7 @@ def _unusable_out_dirs(tmp_path):
 
 def test_run_sweep_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
     for out in _unusable_out_dirs(tmp_path):
         with pytest.raises(OSError):
             run_sweep(RunConfig(sizes=(3,), out_dir=out))
@@ -632,7 +632,7 @@ def test_run_sweep_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeyp
 
 def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, capsys):
     ran = []
-    monkeypatch.setattr(sweep, "_run_size", lambda lat: ran.append(lat.m))
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
     for out in _unusable_out_dirs(tmp_path):
         assert cli.main(["sweep", "--sizes", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
