@@ -25,8 +25,8 @@ class WernerFit:
 
 @dataclass(frozen=True)
 class EdgeAggregates:
-    p_r: float
-    p_s: float
+    p_r: object  # float, or None when the lattice has no rail
+    p_s: object  # float, or None when it has no step
     p_avg: object  # float, or None when no site has degree 3
 
 
@@ -36,8 +36,10 @@ def edge_werner_parameters(lattice, state, spin_sq=None):
     Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
     p_r = mean over rails, p_s = mean over steps, and the
     regional p_avg = mean over degree-3 sites of the mean p of each one's
-    three edges, taken in edge order. Degree-2 corners of open ladders are
-    skipped; p_avg is None when no site has degree 3 (the open m = 2 ladder).
+    three edges, i.e. of every edge's p once per degree-3 end. Each mean is
+    one correctly rounded sum (`math.fsum`) over its length, so within an
+    ulp of the exact mean, and None when empty: no rail, no step, or no
+    degree-3 site (the open m = 2 ladder, all degree-2 corners).
 
     The state must pass `require_singlet`, with `spin_sq` its <S^2> if the
     caller has measured it. Then every marginal is within WERNER_TOL of the
@@ -54,17 +56,15 @@ def edge_werner_parameters(lattice, state, spin_sq=None):
     signs = 1.0 - 2.0 * bits
     zz = (signs * (amps * amps.conj()).real) @ signs.T
     edges = lattice.edges
-    p = -zz[[e.a for e in edges], [e.b for e in edges]]
-    fits = {e: WernerFit(p=pe, werner_ok=True) for e, pe in zip(edges, p.tolist())}
+    p = (-zz[[e.a for e in edges], [e.b for e in edges]]).tolist()
+    fits = {e: WernerFit(p=pe, werner_ok=True) for e, pe in zip(edges, p)}
 
-    kinds = np.array([e.kind for e in edges])
-    incident = [[] for _ in lattice.sites]
-    for i, e in enumerate(edges):
-        incident[e.a].append(i)
-        incident[e.b].append(i)
-    triples = [ids for ids in incident if len(ids) == 3]
-    p_avg = sum(np.mean(p[triples], axis=1).tolist()) / len(triples) if triples else None
-    # correctly rounded sums, so each mean is one rounding from the exact mean
-    p_r, p_s = (math.fsum(ps) / len(ps) for ps in (p[kinds == kind].tolist()
-                                                   for kind in ("rail", "step")))
+    def mean(ps):
+        return math.fsum(ps) / len(ps) if ps else None
+
+    ends = np.array([e.a for e in edges] + [e.b for e in edges], dtype=np.int64)
+    deg3 = np.bincount(ends, minlength=lattice.n)[ends] == 3
+    p_r, p_s = (mean([pe for e, pe in zip(edges, p) if e.kind == kind])
+                for kind in ("rail", "step"))
+    p_avg = mean([pe for pe, d in zip(p + p, deg3) if d])
     return fits, EdgeAggregates(p_r=p_r, p_s=p_s, p_avg=p_avg)

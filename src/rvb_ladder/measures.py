@@ -66,10 +66,10 @@ def monogamy_surface_sample(grid_resolution):
         raise ValueError("need grid resolution >= 2")
     axis = np.linspace(-1.0 / 3.0, 1.0, grid_resolution)
     p_r, p_s = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
-    # square with pow(), as float64 scalars do; an array's x * x can differ in
-    # the last bit, and fig5's bytes are pinned to pow()
-    val = (np.float_power(3.0 * p_r - 1.0, 2) / 2.0
-           + np.float_power(3.0 * p_s - 1.0, 2) / 4.0 - 1.0)
+    # square each axis point once with pow(), as float64 scalars do; an array's
+    # x * x can differ in the last bit, and fig5's bytes are pinned to pow()
+    sq = np.float_power(3.0 * axis - 1.0, 2)
+    val = (sq[:, None] / 2.0 + sq / 4.0 - 1.0).ravel()
     return np.column_stack([p_r, p_s, val])
 
 

@@ -97,7 +97,7 @@ def total_spin_squared(state):
 def require_singlet(state, spin_sq=None):
     """<S^2> of a normalized total singlet, the precondition of `ggm` and of
     the Werner fits; ValueError for a length other than 2^n, a norm more
-    than 1e-10 from 1, or <S^2> above SINGLET_TOL.
+    than 1e-10 from 1, or <S^2> above SINGLET_TOL; a NaN fails both bounds.
 
     `spin_sq` is the state's <S^2> if the caller has measured it already;
     else it is measured here. The weight outside the singlet space is at
@@ -106,11 +106,11 @@ def require_singlet(state, spin_sq=None):
     """
     psi = np.asarray(state)
     site_count(psi)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("state is not normalized")
     if spin_sq is None:
         spin_sq = total_spin_squared(psi)
-    if spin_sq > SINGLET_TOL:
+    if not spin_sq <= SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
     return spin_sq
 

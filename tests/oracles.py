@@ -536,7 +536,9 @@ def rail_and_step_ps(lattice, fits):
 
 def reference_p_avg(lattice, fits):
     """p_avg by the per-site route: degree-3 sites found one at a time, each
-    one's incident edges by a scan of the edge list, then the site average.
+    one's incident edges by a scan of the edge list, then one correctly
+    rounded sum over all their p, divided by three per site (the exact mean
+    of the site means).
 
     None when no site has degree 3.
     """
@@ -544,10 +546,10 @@ def reference_p_avg(lattice, fits):
     for site in lattice.sites:
         incident = [e for e in lattice.edges if site in (e.a, e.b)]
         if len(incident) == 3:
-            regional.append(float(np.mean([fits[e].p for e in incident])))
+            regional.extend(fits[e].p for e in incident)
     if not regional:
         return None
-    return sum(regional) / len(regional)
+    return math.fsum(regional) / len(regional)
 
 
 def oracle_bipartition_matrix(psi, mask):

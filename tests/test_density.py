@@ -4,12 +4,13 @@ singlet precondition they share with `ggm`, edge averages."""
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rvb_ladder import (RunConfig, build_ladder, edge_werner_parameters, ggm, run_sweep,
-                        rvb_state, total_spin_squared)
+from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, edge_werner_parameters, ggm,
+                        run_sweep, rvb_state, total_spin_squared)
 
 import oracles
 
@@ -270,6 +271,19 @@ def test_edge_werner_parameters_take_a_measured_spin_squared(ladder_state):
         edge_werner_parameters(lat, psi, spin_sq=1e-16)
 
 
+def test_a_nan_fails_the_singlet_precondition(ladder_state):
+    # NaN fails every comparison, so `norm - 1 > tol` let a NaN state through:
+    # ggm returned a value with total_spin_sq = nan and the fits NaN averages
+    lat, psi = ladder_state(3, "periodic")
+    bad = psi.copy()
+    bad[np.flatnonzero(bad)[0]] = np.nan
+    for call in (lambda: edge_werner_parameters(lat, bad), lambda: ggm(bad)):
+        with pytest.raises(ValueError, match="state is not normalized"):
+            call()
+    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = nan"):
+        edge_werner_parameters(lat, psi, spin_sq=float("nan"))
+
+
 def test_edge_werner_parameters_refuse_a_state_of_another_lattice():
     # an 8-site state on the 6-site lattice would read marginals of the wrong
     # sites, a 6-site state on the 8-site lattice would index past its sites
@@ -332,8 +346,43 @@ def test_regional_entanglement_skips_degree_two_sites(ladder_state):
     fits, agg = edge_werner_parameters(lat, psi)
     middle = [[fits[e].p for e in lat.edges if s in (e.a, e.b)] for s in (1, 4)]
     assert [len(ps) for ps in middle] == [3, 3]
-    want = (float(np.mean(middle[0])) + float(np.mean(middle[1]))) / 2
+    want = math.fsum(middle[0] + middle[1]) / 6
     assert agg.p_avg == want
+
+
+def test_aggregates_of_an_edge_transitive_ladder_equal_its_edge_p(ladder_state):
+    # periodic m = 3: all nine edges carry the double nearest 5/9, and a mean
+    # of equal values is that value (a per-site np.mean landed one ulp below)
+    lat, psi = ladder_state(3, "periodic")
+    fits, agg = edge_werner_parameters(lat, psi)
+    (p,) = {fit.p for fit in fits.values()}
+    assert (agg.p_r, agg.p_s, agg.p_avg) == (p, p, p)
+
+
+def test_aggregates_of_a_rails_only_ring():
+    # a 4-site ring whose bonds are all rails: no step and no degree-3 site
+    edges = tuple(Edge(a, b, "rail", i)
+                  for i, (a, b) in enumerate(((0, 1), (2, 1), (2, 3), (0, 3))))
+    lat = Lattice(4, ("A", "B", "A", "B"), edges)
+    fits, agg = edge_werner_parameters(lat, rvb_state(lat))
+    (p,) = {fit.p for fit in fits.values()}
+    assert agg.p_s is None and agg.p_avg is None
+    assert agg.p_r == p
+
+
+@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
+def test_aggregates_within_one_ulp_of_the_exact_mean(ladder_state, m, boundary):
+    lat, psi = ladder_state(m, boundary)
+    fits, agg = edge_werner_parameters(lat, psi)
+    rails, steps = oracles.rail_and_step_ps(lat, fits)
+    regional = [fits[e].p for s in lat.sites for e in lat.edges
+                if s in (e.a, e.b) and sum(s in (f.a, f.b) for f in lat.edges) == 3]
+    for got, ps in ((agg.p_r, rails), (agg.p_s, steps), (agg.p_avg, regional)):
+        if not ps:
+            assert got is None
+            continue
+        exact = sum(map(Fraction, ps)) / len(ps)
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)), (m, boundary)
 
 
 def test_teleportation_fidelities(tmp_path):
