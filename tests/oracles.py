@@ -861,3 +861,21 @@ PAPER_SIZES = ((3, "periodic"), (4, "periodic"), (5, "periodic"), (6, "periodic"
 CONFIGS = [(m, boundary) for m in range(2, 9) for boundary in ("open", "periodic")]
 # every ladder configuration with N = 2m <= 12 sites
 SMALL_CONFIGS = [(m, boundary) for m, boundary in CONFIGS if m <= 6]
+
+# The parametrized tests name each ladder under the two closures an odd
+# periodic ladder once had. "twist" is the one build_ladder keeps; "forbid"
+# left the odd wraps without dimers, so its state was the open ladder's, and
+# its cases still run on that state.
+CLOSURES = ("forbid", "twist")
+
+
+def with_closures(configs):
+    """Each (m, boundary) of `configs` as (m, boundary, closure), both closures."""
+    return [(m, boundary, closure) for m, boundary in configs for closure in CLOSURES]
+
+
+def ladder_key(m, boundary, closure):
+    """The (m, boundary) of the ladder state an (m, boundary, closure) names."""
+    if closure == "forbid" and boundary == "periodic" and m % 2:
+        return m, "open"
+    return m, boundary

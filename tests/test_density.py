@@ -203,11 +203,11 @@ def test_edge_p_matches_index_loop_oracle_small(ladder_state):
             assert abs(fit.p - oracles.werner_fit(rho).p) < 1e-10
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_support_marginals_equal_the_dense_partial_trace(ladder_state, m, boundary):
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_support_marginals_equal_the_dense_partial_trace(ladder_state, m, boundary, closure):
     # the Werner state at each edge's p, read off the support, is the whole
     # dense marginal: all 16 entries, the ten that change the pair's S_z too
-    lat, psi = ladder_state(m, boundary)
+    lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     fits, _ = edge_werner_parameters(lat, psi)
     bound = _werner_bound(psi)
     for e, fit in fits.items():
@@ -329,9 +329,10 @@ def test_regional_entanglement_values(ladder_state):
         assert abs(agg.p_avg - float(exp["p_avg"])) < 1e-11, (m, b)
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary):
-    lat, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_regional_entanglement_bit_identical_to_per_site_route(ladder_state, m, boundary,
+                                                               closure):
+    lat, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     fits, agg = edge_werner_parameters(lat, psi)
     assert agg.p_avg == oracles.reference_p_avg(lat, fits)
 

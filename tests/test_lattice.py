@@ -221,9 +221,9 @@ def _basic_orbit_sizes(gens, n):
     return sizes
 
 
-@pytest.mark.parametrize("m, b", SWEEP_CONFIGS)
-def test_automorphism_generators_generate_the_group(m, b):
-    lat = build_ladder(m, b)
+@pytest.mark.parametrize("m, b, closure", oracles.with_closures(SWEEP_CONFIGS))
+def test_automorphism_generators_generate_the_group(m, b, closure):
+    lat = build_ladder(*oracles.ladder_key(m, b, closure))
     gens = oracles.automorphism_generators(lat)
     assert len(gens) <= 4
     edges = _edge_multiset(lat)

@@ -391,11 +391,12 @@ def test_ggm_symmetry_route_matches_full_scan(ladder_state):
             assert abs(lam2 - rec.max_schmidt_sq) <= 1e-9, key
 
 
-@pytest.mark.parametrize("m, boundary", oracles.SMALL_CONFIGS + LARGE_CONFIGS)
-def test_ggm_generators_give_the_whole_group_record(ladder_state, m, boundary):
+@pytest.mark.parametrize("key", oracles.with_closures(oracles.SMALL_CONFIGS)
+                         + [(*k, "twist") for k in LARGE_CONFIGS])
+def test_ggm_generators_give_the_whole_group_record(ladder_state, key):
     # the generators' orbits are the group's, so the same representatives
     # reach the eigensolves and every field agrees exactly
-    lat, psi = ladder_state(m, boundary)
+    lat, psi = ladder_state(*oracles.ladder_key(*key))
     gens = oracles.automorphism_generators(lat)
     assert (oracles.orbit_ggm(psi, symmetries=gens)
             == oracles.orbit_ggm(psi, symmetries=oracles.automorphisms(lat)))
@@ -561,9 +562,9 @@ def test_default_sweep_solves_the_largest_bound_and_the_tied_masks(monkeypatch):
         assert solved[row.n] == [first, *rest], row.m
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_ggm_record_equals_the_orbit_oracle(ladder_state, m, boundary):
-    lat, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("key", oracles.with_closures(oracles.CONFIGS))
+def test_ggm_record_equals_the_orbit_oracle(ladder_state, key):
+    lat, psi = ladder_state(*oracles.ladder_key(*key))
     got = ggm(psi)
     want = oracles.orbit_ggm(psi, symmetries=oracles.automorphism_generators(lat))
     assert got.mask == want.mask
@@ -595,12 +596,12 @@ def test_torus_bonds_and_ggm_match_the_oracles():
     assert abs(got.value - 0.376468) <= 1e-6
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_ggm_winner_is_its_split_solved_alone(ladder_state, m, boundary):
+@pytest.mark.parametrize("key", oracles.with_closures(oracles.CONFIGS))
+def test_ggm_winner_is_its_split_solved_alone(ladder_state, key):
     # a split's Schmidt^2 depends only on the split, not on which other
     # splits are solved in the same call, so the record's value is exactly
     # the largest of its tied splits' solved one at a time
-    _, psi = ladder_state(m, boundary)
+    _, psi = ladder_state(*oracles.ladder_key(*key))
     n = psi.size.bit_length() - 1
     rec = ggm(psi)
     alone = max(measures._schmidt_sq_max(psi, n, t) for t in rec.tied_masks)

@@ -157,25 +157,26 @@ def test_dump_state_rejects_complex_input(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_rvb_state_bit_identical_to_loop_sum(m, boundary):
-    lat = build_ladder(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_rvb_state_bit_identical_to_loop_sum(m, boundary, closure):
+    lat = build_ladder(*oracles.ladder_key(m, boundary, closure))
     want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)
     assert rvb_state(lat).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_covering_terms_batch_is_per_covering_concatenation(m, boundary):
-    coverings = enumerate_coverings(build_ladder(m, boundary))
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, closure):
+    coverings = enumerate_coverings(build_ladder(*oracles.ladder_key(m, boundary, closure)))
     indices, amps = _covering_terms(coverings)
     one_by_one = [_covering_terms([cov]) for cov in coverings]
     assert np.array_equal(indices, np.concatenate([i for i, _ in one_by_one]))
     assert amps.tobytes() == np.concatenate([a for _, a in one_by_one]).tobytes()
 
 
-@pytest.mark.parametrize("m, boundary", oracles.SMALL_CONFIGS)
-def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, ladder_state):
-    _, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.SMALL_CONFIGS))
+def test_total_spin_squared_matches_pauli_sum_oracle_on_ladders(m, boundary, closure,
+                                                                ladder_state):
+    _, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     got = total_spin_squared(psi)
     assert abs(got - oracles.oracle_total_spin_squared(psi)) <= 1e-12
 
@@ -194,9 +195,10 @@ def test_total_spin_squared_signed_zeros_and_subnormals():
 # The support route adds the same nonzero terms into each entry of S_+ psi in
 # the same order as the dense strided adds, so the two agree bit for bit.
 
-@pytest.mark.parametrize("m, boundary", oracles.CONFIGS)
-def test_total_spin_squared_bit_identical_to_dense_raise_on_ladders(m, boundary, ladder_state):
-    _, psi = ladder_state(m, boundary)
+@pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
+def test_total_spin_squared_bit_identical_to_dense_raise_on_ladders(m, boundary, closure,
+                                                                    ladder_state):
+    _, psi = ladder_state(*oracles.ladder_key(m, boundary, closure))
     assert total_spin_squared(psi) == oracles.dense_total_spin_squared(psi)
 
 
