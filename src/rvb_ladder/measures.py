@@ -227,13 +227,13 @@ def ggm(state):
     spin_sq = require_singlet(psi)
 
     bound = _sector_weight_bounds(psi, n)  # entry i bounds the odd mask 2i + 1
-    first = int(np.argmax(bound))
-    floor = _schmidt_sq_max(psi, n, 2 * first + 1)
-    near = bound >= floor - _PRUNE_MARGIN
-    near[first] = False
-    solved = 2 * np.append(first, np.flatnonzero(near)) + 1
-    lam2 = np.array([floor] + [_schmidt_sq_max(psi, n, mask) for mask in solved[1:].tolist()])
+    first = 2 * int(np.argmax(bound)) + 1
+    floor = _schmidt_sq_max(psi, n, first)
+    # first is in solved: _PRUNE_MARGIN covers the slack of its bound (docs/decisions.md)
+    solved = 2 * np.flatnonzero(bound >= floor - _PRUNE_MARGIN) + 1
+    lam2 = np.array([floor if mask == first else _schmidt_sq_max(psi, n, mask)
+                     for mask in solved.tolist()])
     best = float(lam2.max())
-    tied = tuple(np.sort(solved[best - lam2 <= _TIE_TOL]).tolist())
+    tied = tuple(solved[best - lam2 <= _TIE_TOL].tolist())
     return GgmRecord(value=1.0 - best, max_schmidt_sq=best, mask=tied[0],
                      tied_masks=tied, total_spin_sq=spin_sq)

@@ -20,10 +20,10 @@ SINGLET_TOL = 1e-17
 
 def site_count(psi):
     """Number of sites n of a 2^n-amplitude vector, n >= 1; else ValueError."""
-    size = np.asarray(psi).size
-    n = size.bit_length() - 1
-    if n < 1 or size != 1 << n:
-        raise ValueError(f"state length {size} is not 2^n with n >= 1")
+    psi = np.asarray(psi)
+    n = psi.size.bit_length() - 1
+    if psi.ndim != 1 or n < 1 or psi.size != 1 << n:
+        raise ValueError(f"state of shape {psi.shape} is not 2^n amplitudes on one axis, n >= 1")
     return n
 
 

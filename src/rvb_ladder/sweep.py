@@ -1,5 +1,6 @@
 """Full sweeps over ladder sizes, figure CSV emission, and the caption fits."""
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,6 @@ class SizeRow:
     monogamy: measures.MonogamyRecord
     cloning: measures.CloningBoundRecord
     ggm: measures.GgmRecord
-    steps_on_a_side: int
     lattice: object
     state: object
 
@@ -47,12 +47,8 @@ def _run_size(m, lat):
     fits, agg = density.edge_werner_parameters(lat, psi, spin_sq=gg.total_spin_sq)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
-    # columns with both of their sites on the GGM mask's side
-    whole_columns = sum((gg.mask >> c) & (gg.mask >> (c + m)) & 1 for c in range(m))
-
     return SizeRow(m=m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
-                   aggregates=agg, monogamy=mono, cloning=clone, ggm=gg,
-                   steps_on_a_side=whole_columns, lattice=lat, state=psi)
+                   aggregates=agg, monogamy=mono, cloning=clone, ggm=gg, lattice=lat, state=psi)
 
 
 def run_sweep(config):
@@ -67,8 +63,12 @@ def run_sweep(config):
                              f"N <= {measures.MAX_SITES}")
     # build_ladder owns the checks on m >= 2 and boundary
     ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
-    if config.surface_res < 2:
-        raise ValueError(f"surface resolution {config.surface_res} < 2")
+    try:
+        res = operator.index(config.surface_res)  # numpy integers pass, floats do not
+    except TypeError:
+        raise ValueError(f"surface resolution {config.surface_res!r} is not an integer") from None
+    if res < 2:
+        raise ValueError(f"surface resolution {res} < 2")
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
@@ -179,12 +179,9 @@ def emit_csv(report, out_dir):
     _write_csv(out / "fig8_ggm.csv", ["n", "ggm"],
                [(r.n, r.ggm.value) for r in rows])
 
-    edge_rows = []
-    for r in rows:
-        for e in r.lattice.edges:
-            edge_rows.append((r.n, r.m, cfg.boundary, e.a, e.b, e.kind, r.fits[e].p))
     _write_csv(detail / "edges.csv", ["n", "m", "boundary", "edge_a", "edge_b", "kind", "p"],
-               edge_rows)
+               [(r.n, r.m, cfg.boundary, e.a, e.b, e.kind, r.fits[e].p)
+                for r in rows for e in r.lattice.edges])
     agg_rows = []
     for r in rows:
         ps = (r.aggregates.p_r, r.aggregates.p_s, r.aggregates.p_avg)
@@ -203,10 +200,12 @@ def emit_csv(report, out_dir):
                  _interval_str(r.cloning.s1), _interval_str(r.cloning.s2),
                  r.cloning.margin)
                 for r in rows])
+    # steps_on_A_side counts the step bonds with both ends on the GGM mask's side
     _write_csv(detail / "ggm.csv",
                ["n", "ggm", "max_schmidt_sq", "maximizing_partition", "steps_on_A_side"],
                [(r.n, r.ggm.value, r.ggm.max_schmidt_sq, f"{r.ggm.mask:#x}",
-                 r.steps_on_a_side) for r in rows])
+                 sum((r.ggm.mask >> e.a) & (r.ggm.mask >> e.b) & 1
+                     for e in r.lattice.edges if e.kind == "step")) for r in rows])
 
     fit_rows = []
     for name in ("fig6_linear", "fig6_quadratic", "fig7_quadratic"):

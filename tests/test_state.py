@@ -1,13 +1,14 @@
 """State construction: singlets, covering products, the full superposition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvb_ladder import (Lattice, build_ladder, dump_state,
+from rvb_ladder import (Lattice, build_ladder, dump_state, edge_werner_parameters, ggm,
                         enumerate_coverings, rvb_state, total_spin_squared)
 from rvb_ladder.state import _covering_terms, site_count, support_bits
 
@@ -134,6 +135,23 @@ def test_site_count():
     for size in (0, 1, 3, 6, 12, 1000):
         with pytest.raises(ValueError, match="not 2\\^n"):
             site_count(np.zeros(size))
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (64, 1), (8, 8)], ids=["1x64", "64x1", "8x8"])
+@pytest.mark.parametrize("reader", ["ggm", "total_spin_squared", "edge_werner_parameters",
+                                    "dump_state"])
+def test_state_readers_refuse_an_array_that_is_not_one_axis(ladder_state, tmp_path, reader,
+                                                            shape):
+    # a 64-entry state of the right size in the wrong shape is refused, and
+    # the error names the shape instead of failing later on an index
+    lat, psi = ladder_state(3, "periodic")
+    path = tmp_path / "state.txt"
+    call = {"ggm": ggm, "total_spin_squared": total_spin_squared,
+            "edge_werner_parameters": lambda s: edge_werner_parameters(lat, s),
+            "dump_state": lambda s: dump_state(s, path, 3, "periodic")}[reader]
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        call(psi.reshape(shape))
+    assert not path.exists()
 
 
 def test_total_spin_squared_rejects_non_power_of_two_length():

@@ -1,6 +1,7 @@
 """End-to-end sweep pipeline, CSV emission, determinism, CLI."""
 
 import builtins
+import dataclasses
 import math
 from pathlib import Path
 
@@ -566,6 +567,46 @@ def test_run_size_enumerates_the_coverings_once(monkeypatch):
     assert row.state.tobytes() == rvb_ladder.rvb_state(row.lattice).tobytes()
 
 
+def _emitted_steps_on_a_side(row, masks, out):
+    """The steps_on_A_side column of detail/ggm.csv for one copy of `row` per
+    GGM side in `masks`."""
+    rows = [dataclasses.replace(row, ggm=dataclasses.replace(row.ggm, mask=mask))
+            for mask in masks]
+    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=2), rows=rows), out)
+    lines = (out / "detail" / "ggm.csv").read_text().splitlines()[1:]
+    return [int(line.rsplit(",", 1)[1]) for line in lines]
+
+
+def _whole_columns(mask, m):
+    """Columns of the 2 x m ladder (site = row * m + col) with both sites in
+    `mask`, counted from the ladder's numbering alone."""
+    return sum((mask >> c) & (mask >> (c + m)) & 1 for c in range(m))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_steps_on_a_side_counts_the_whole_ladder_columns(tmp_path, boundary):
+    # each ladder column holds one step bond, joining its two sites, so the
+    # step count is the column count: for every odd mask up to m = 6 and for
+    # every tied GGM mask up to m = 10
+    for m in range(2, 11):
+        row = sweep._run_size(m, sweep.lattice.build_ladder(m, boundary))
+        masks = range(1, (1 << 2 * m) - 1, 2) if m <= 6 else row.ggm.tied_masks
+        got = _emitted_steps_on_a_side(row, masks, tmp_path / str(m))
+        assert got == [_whole_columns(mask, m) for mask in masks], m
+
+
+def test_ggm_csv_counts_the_torus_step_bonds_inside_the_ggm_side(tmp_path):
+    # the 4 x 4 torus's GGM side 0xff is its first two rows, which hold 4 of
+    # its 16 step bonds; under the sweep's label m = n / 2 no pair of sites
+    # c, c + m lies inside it, so a count from the ladder numbering reads 0
+    lat = oracles.square_torus(4, 4)
+    row = sweep._run_size(lat.n // 2, lat)
+    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=2), rows=[row]), tmp_path)
+    header, line = (tmp_path / "detail" / "ggm.csv").read_text().splitlines()
+    assert header.endswith(",maximizing_partition,steps_on_A_side")
+    assert line.split(",")[3:] == ["0xff", "4"]
+
+
 def test_singlet_invariant_aborts_size(monkeypatch):
     monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
@@ -596,10 +637,12 @@ def test_run_sweep_validation(monkeypatch):
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(), out_dir=None))
     # m = 11 fails the MAX_SITES check, m = 1 and the bad boundary fail in
-    # build_ladder; all of them before any size runs
+    # build_ladder, and a float surface resolution fails its integer check;
+    # all of them before any size runs
     for bad in (RunConfig(sizes=(1,), out_dir=None),
                 RunConfig(sizes=(11,), out_dir=None),  # 22 sites too large
-                RunConfig(sizes=(3,), boundary="twisted", out_dir=None)):
+                RunConfig(sizes=(3,), boundary="twisted", out_dir=None),
+                RunConfig(sizes=(3, 4), out_dir=None, surface_res=2.5)):
         with pytest.raises(ValueError):
             run_sweep(bad)
     assert ran == []
