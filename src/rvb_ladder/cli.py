@@ -33,9 +33,6 @@ def build_parser():
                        help="output directory for the figure CSVs")
     sweep.add_argument("--dump-states", action="store_true",
                        help="also write the full amplitude vectors")
-    sweep.add_argument("--surface-res", type=int, default=defaults.surface_res,
-                       help="grid resolution for the monogamy surface CSV "
-                       f"(default {defaults.surface_res})")
     return parser
 
 
@@ -46,7 +43,7 @@ def _fmt(value):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     config = RunConfig(sizes=args.sizes, boundary=args.boundary, out_dir=args.out,
-                       dump_states=args.dump_states, surface_res=args.surface_res)
+                       dump_states=args.dump_states)
     try:
         report = run_sweep(config)
     except (ValueError, OSError) as exc:  # bad config or unusable --out

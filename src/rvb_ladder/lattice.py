@@ -1,14 +1,16 @@
 """Bipartite lattices and their nearest-neighbor dimer coverings.
 
 A `Lattice` is n sites with sublattice labels and an edge list; every edge
-joins the two sublattices and stores its A-site endpoint first. The
-enumeration, the count and the states read nothing else. `build_ladder` is
-the ladder constructor: sites of a 2 x m ladder are indexed row-major,
-site = row * m + col with row in {0, 1}, the sublattice label is the
-checkerboard rule, A iff (row + col) is even, and edges within a row are
-"rails", edges within a column are "steps".
+joins the two sublattices and stores its A-site endpoint first, and
+`Lattice` refuses any other edge. The enumeration, the count and the
+states read nothing else. `build_ladder` is the ladder constructor: sites
+of a 2 x m ladder are indexed row-major, site = row * m + col with row in
+{0, 1}, the sublattice label is the checkerboard rule, A iff (row + col)
+is even, and edges within a row are "rails", edges within a column are
+"steps".
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,15 @@ class Lattice:
     sublattice: tuple  # sublattice[site] = "A" | "B"
     edges: tuple
 
+    def __post_init__(self):
+        if len(self.sublattice) != self.n:
+            raise ValueError(f"{len(self.sublattice)} sublattice labels for {self.n} sites")
+        for e in self.edges:
+            if not (0 <= e.a < self.n and 0 <= e.b < self.n):
+                raise ValueError(f"{e} has an end outside the {self.n} sites")
+            if (self.sublattice[e.a], self.sublattice[e.b]) != ("A", "B"):
+                raise ValueError(f"{e} does not run from an A site to a B site")
+
     @property
     def sites(self):
         return range(self.n)
@@ -45,6 +56,10 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     rows instead (the twisted, Moebius closure) and every edge stays
     bipartite. `odd_wrap` names that closure; "twist" is its only value.
     """
+    try:
+        m = operator.index(m)  # numpy integers pass, floats and strings do not
+    except TypeError:
+        raise ValueError(f"ladder size m={m!r} is not an integer") from None
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if boundary not in BOUNDARIES:

@@ -21,6 +21,7 @@ solved.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,15 @@ _PRUNE_MARGIN = 3.0 * math.sqrt(SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
 MAX_SITES = 20  # largest state the GGM scan and the sweep accept
 
 
-def tangle(p):
-    """Tangle (squared concurrence) of a Werner state, clamped at separability."""
+def _require_werner(p):
+    """Refuse a Werner parameter outside [-1/3, 1] beyond rounding, or NaN."""
     if not -1.0 / 3.0 - _P_EPS <= p <= 1.0 + _P_EPS:
         raise ValueError(f"Werner parameter {p} outside [-1/3, 1]")
+
+
+def tangle(p):
+    """Tangle (squared concurrence) of a Werner state, clamped at separability."""
+    _require_werner(p)
     return max(0.0, (3.0 * p - 1.0) / 2.0) ** 2
 
 
@@ -62,9 +68,13 @@ def monogamy_check(p_r, p_s):
 
 def monogamy_surface_sample(grid_resolution):
     """Sample (3p_r-1)^2/2 + (3p_s-1)^2/4 - 1 on the [-1/3, 1]^2 grid."""
-    if grid_resolution < 2:
+    try:
+        res = operator.index(grid_resolution)  # numpy integers pass, floats do not
+    except TypeError:
+        raise ValueError(f"grid resolution {grid_resolution!r} is not an integer") from None
+    if res < 2:
         raise ValueError("need grid resolution >= 2")
-    axis = np.linspace(-1.0 / 3.0, 1.0, grid_resolution)
+    axis = np.linspace(-1.0 / 3.0, 1.0, res)
     p_r, p_s = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
     # square each axis point once with pow(), as float64 scalars do; an array's
     # x * x can differ in the last bit, and fig5's bytes are pinned to pow()
@@ -76,9 +86,9 @@ def monogamy_surface_sample(grid_resolution):
 @dataclass(frozen=True)
 class CloningBoundRecord:
     s1: object  # the rail window (lo, hi), or None when empty
-    s2: object  # the step window, likewise
+    s2: object  # the step window (0, hi); never empty
     theta_max: object  # float, or None for an empty intersection
-    margin: object  # min(hi1, hi2) - max(lo1, lo2), or None if a window is empty
+    margin: object  # min(hi1, hi2) - max(lo1, lo2), or None when S1 is empty
 
 
 def cloning_theta_sets(p_r, p_s):
@@ -89,20 +99,22 @@ def cloning_theta_sets(p_r, p_s):
     sin^2 theta <= y = 3 (1 - p_s) / 4, so
         S1 = [(phi + asin x) / 2, (phi + pi - asin x) / 2] intersect [0, pi/2]
         S2 = [0, asin sqrt y]
-    with S1 empty for x > 1 and S2 empty for y < 0. The signed margin is the
-    width of the common interval, negative when the windows miss each other;
-    they count as touching, with theta_max at the touching angle, down to a
-    rounding-level margin of -1e-12.
+    with S1 empty for x > 1. Both parameters must lie in tangle's Werner
+    range, so y is clamped to [0, 1] and S2 always holds theta = 0. The
+    signed margin is the width of the common interval, negative when the
+    windows miss each other; they count as touching, with theta_max at the
+    touching angle, down to a rounding-level margin of -1e-12.
     """
+    _require_werner(p_r)
+    _require_werner(p_s)
     x = max(2.0 * p_r - 1.0 / 3.0, -1.0)
-    y = min(3.0 * (1.0 - p_s) / 4.0, 1.0)
-    s1 = s2 = theta_max = margin = None
+    y = min(max(3.0 * (1.0 - p_s) / 4.0, 0.0), 1.0)
+    s1 = theta_max = margin = None
     if x <= 1.0:
         a = math.asin(x)
         s1 = (max((_PHI + a) / 2.0, 0.0), min((_PHI + math.pi - a) / 2.0, math.pi / 2.0))
-    if y >= 0.0:
-        s2 = (0.0, math.asin(math.sqrt(y)))
-    if s1 and s2:
+    s2 = (0.0, math.asin(math.sqrt(y)))
+    if s1:
         lo, hi = max(s1[0], s2[0]), min(s1[1], s2[1])
         margin = hi - lo
         if margin >= -_TOUCH_TOL:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
 
+FIG5_RESOLUTION = 100  # points per axis of the fig5 monogamy surface grid
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -13,7 +15,6 @@ class RunConfig:
     boundary: str = "periodic"
     out_dir: object = None  # path-like or None for in-memory runs
     dump_states: bool = False
-    surface_res: int = 100
 
 
 @dataclass
@@ -57,18 +58,17 @@ def run_sweep(config):
         raise ValueError("no sizes configured")
     if len(set(config.sizes)) != len(config.sizes):
         raise ValueError(f"repeated size in {config.sizes}; each size runs once")
+    # the site limit is checked before any ladder is built, so an oversized
+    # size fails at once; build_ladder owns the checks on m >= 2 and boundary
     for m in config.sizes:
-        if 2 * m > measures.MAX_SITES:
-            raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
+        try:
+            n = 2 * operator.index(m)  # numpy integers pass, floats and strings do not
+        except TypeError:
+            raise ValueError(f"size m={m!r} is not an integer") from None
+        if n > measures.MAX_SITES:
+            raise ValueError(f"size m={m} has {n} sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
-    # build_ladder owns the checks on m >= 2 and boundary
     ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
-    try:
-        res = operator.index(config.surface_res)  # numpy integers pass, floats do not
-    except TypeError:
-        raise ValueError(f"surface resolution {config.surface_res!r} is not an integer") from None
-    if res < 2:
-        raise ValueError(f"surface resolution {res} < 2")
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
@@ -171,7 +171,7 @@ def emit_csv(report, out_dir):
                [(r.n, r.aggregates.p_s) for r in rows])
     _write_csv(out / "fig4_p_avg.csv", ["n", "p_avg"],
                [(r.n, r.aggregates.p_avg) for r in rows])
-    _write_fig5(out / "fig5_monogamy_surface.csv", cfg.surface_res)
+    _write_fig5(out / "fig5_monogamy_surface.csv", FIG5_RESOLUTION)
     _write_csv(out / "fig6_theta_max.csv", ["n", "theta_max"],
                [(r.n, r.cloning.theta_max) for r in rows])
     _write_csv(out / "fig7_pr_vs_ps.csv", ["n", "p_s", "p_r"],
@@ -219,7 +219,7 @@ def emit_csv(report, out_dir):
     with open(detail / "config.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"sizes={','.join(str(m) for m in sorted(cfg.sizes))}\n"
                  f"boundary={cfg.boundary}\n"
-                 f"surface_res={cfg.surface_res}\ndump_states={cfg.dump_states}\n")
+                 f"dump_states={cfg.dump_states}\n")
 
     if cfg.dump_states:
         for r in rows:

@@ -387,7 +387,7 @@ def test_aggregates_within_one_ulp_of_the_exact_mean(ladder_state, m, boundary):
 
 def test_teleportation_fidelities(tmp_path):
     # the written F = (p + 1)/2 of the exact open-ladder p_r, p_s and p_avg
-    run_sweep(RunConfig(sizes=(2, 3), boundary="open", out_dir=tmp_path, surface_res=2))
+    run_sweep(RunConfig(sizes=(2, 3), boundary="open", out_dir=tmp_path))
     lines = (tmp_path / "detail" / "aggregates.csv").read_text().splitlines()
     assert lines[0] == "n,p_r,p_s,p_avg,F_r,F_s,F_avg"
     # N = 4: p_r = p_s = 2/3 and no degree-3 site, so no p_avg and no F_avg

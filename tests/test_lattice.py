@@ -93,6 +93,18 @@ def test_validation_errors():
         build_ladder(3, "moebius")
     with pytest.raises(ValueError):
         build_ladder(3, "periodic", "drop")
+    with pytest.raises(ValueError, match="not an integer"):
+        build_ladder(3.0, "open")
+
+
+def test_lattice_refuses_an_edge_that_does_not_join_a_to_b():
+    # three cases, in the order they are checked: a label per site, both
+    # ends on a site, the A end first
+    for labels, edge, match in ((("A",), Edge(0, 1, "step", 0), "labels"),
+                                (("A", "B"), Edge(0, 2, "step", 0), "outside"),
+                                (("B", "A"), Edge(0, 1, "step", 0), "A site to a B site")):
+        with pytest.raises(ValueError, match=match):
+            Lattice(2, labels, (edge,))
 
 
 def test_enumeration_matches_brute_force_small():

@@ -130,6 +130,9 @@ def test_monogamy_surface_grid():
     assert rows[-1][2] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         monogamy_surface_sample(1)
+    with pytest.raises(ValueError, match="not an integer"):
+        monogamy_surface_sample(2.5)
+    assert monogamy_surface_sample(np.int64(5)).tobytes() == rows.tobytes()
 
 
 def test_monogamy_surface_bit_identical_to_scalar_loop():
@@ -223,7 +226,16 @@ def test_cloning_margin_sign_and_empty_windows():
     assert cloning_theta_sets(0.5, 0.6).margin > 0.0
     assert cloning_theta_sets(0.66, 0.9).margin < 0.0  # disjoint windows
     assert cloning_theta_sets(0.7, 0.5).margin is None  # S1 empty
-    assert cloning_theta_sets(0.5, 1.2).margin is None  # S2 empty
+    with pytest.raises(ValueError):  # outside the Werner range, as for tangle
+        cloning_theta_sets(0.5, 1.2)
+
+
+def test_cloning_sets_take_the_werner_range_of_tangle():
+    for p_r, p_s in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            cloning_theta_sets(p_r, p_s)
+    # rounding above p_s = 1, which tangle accepts, leaves S2 the single angle 0
+    assert cloning_theta_sets(0.5, 1.0 + 5e-13).s2 == (0.0, 0.0)
 
 
 # windows narrower than the oracle's grid spacing can fall between its points

@@ -65,7 +65,7 @@ def test_fidelities_consistent(twist_report, tmp_path):
 def test_written_fidelities_are_one_route_of_the_site_average(tmp_path, boundary):
     # F = (p + 1)/2 of the record's own p_r, p_s and p_avg, whatever the degrees
     report = run_sweep(RunConfig(sizes=tuple(range(2, 9)), boundary=boundary,
-                                 out_dir=tmp_path, surface_res=2))
+                                 out_dir=tmp_path))
     assert report.failures == []
     written = _written_fidelities(tmp_path)
     assert sorted(written) == [r.n for r in report.rows] == list(range(4, 17, 2))
@@ -113,7 +113,7 @@ def test_caption_fits_are_the_exact_least_squares(twist_report):
     # every coefficient against the exact rational least squares of the same
     # float inputs; normal equations solved in float64 missed the open
     # sweep's Fig. 7 quadratic by a relative 1.4e-9
-    open_report = run_sweep(RunConfig(boundary="open", surface_res=2))
+    open_report = run_sweep(RunConfig(boundary="open"))
     for report in (twist_report, open_report):
         ns, thetas = zip(*[(r.n, r.cloning.theta_max) for r in report.rows
                            if r.cloning.theta_max is not None])
@@ -127,7 +127,7 @@ def test_caption_fits_are_the_exact_least_squares(twist_report):
 
 
 def test_emit_csv_file_set(tmp_path):
-    run_sweep(RunConfig(sizes=(3, 4), out_dir=tmp_path / "out", surface_res=10))
+    run_sweep(RunConfig(sizes=(3, 4), out_dir=tmp_path / "out"))
     out = tmp_path / "out"
     root_csvs = sorted(p.name for p in out.glob("*.csv"))
     assert root_csvs == sorted(FIG_FILES)
@@ -139,7 +139,7 @@ def test_emit_csv_file_set(tmp_path):
 
 def test_csv_contents(tmp_path):
     out = tmp_path / "out"
-    run_sweep(RunConfig(sizes=(3, 4, 5, 6), out_dir=out, surface_res=10))
+    run_sweep(RunConfig(sizes=(3, 4, 5, 6), out_dir=out))
 
     lines = (out / "fig2_p_rail.csv").read_text().splitlines()
     assert lines[0] == "n,p_r"
@@ -150,7 +150,7 @@ def test_csv_contents(tmp_path):
 
     surface = (out / "fig5_monogamy_surface.csv").read_text().splitlines()
     assert surface[0] == "p_r,p_s,surface_value"
-    assert len(surface) == 10 * 10 + 1
+    assert len(surface) == 100 * 100 + 1
 
     theta_lines = (out / "fig6_theta_max.csv").read_text().splitlines()
     assert theta_lines[0] == "n,theta_max"
@@ -178,8 +178,7 @@ def test_csv_contents(tmp_path):
 
 def test_csv_empty_cells_for_missing_values(tmp_path):
     out = tmp_path / "out"
-    run_sweep(RunConfig(sizes=(2, 3), boundary="open", out_dir=out,
-                        surface_res=5))
+    run_sweep(RunConfig(sizes=(2, 3), boundary="open", out_dir=out))
     fig4 = (out / "fig4_p_avg.csv").read_text().splitlines()
     assert fig4[1] == "4,"  # the 4-site open ladder has no degree-3 site
     assert fig4[2].startswith("6,0.515151515")
@@ -188,8 +187,8 @@ def test_csv_empty_cells_for_missing_values(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    cfg_a = RunConfig(sizes=(3, 4), out_dir=tmp_path / "a", surface_res=25)
-    cfg_b = RunConfig(sizes=(3, 4), out_dir=tmp_path / "b", surface_res=25)
+    cfg_a = RunConfig(sizes=(3, 4), out_dir=tmp_path / "a")
+    cfg_b = RunConfig(sizes=(3, 4), out_dir=tmp_path / "b")
     run_sweep(cfg_a)
     run_sweep(cfg_b)
     files_a = sorted(p for p in (tmp_path / "a").rglob("*") if p.is_file())
@@ -315,7 +314,6 @@ DEFAULT_SWEEP_DETAILS = {
     "detail/config.txt": (
         "sizes=3,4,5,6\n"
         "boundary=periodic\n"
-        "surface_res=100\n"
         "dump_states=False\n"),
     "detail/fits.csv": (
         "figure,model,c0,c1,c2,mse\n"
@@ -423,24 +421,22 @@ def test_default_sweep_detail_text(tmp_path):
 
 
 def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
-    # fig5 does not depend on the ladder, so a report without rows suffices
     for res in (2, 5, 42, 100, 257):
-        out = tmp_path / str(res)
-        sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=res)), out)
+        got = tmp_path / f"fig5-{res}.csv"
+        sweep._write_fig5(got, res)
         want = tmp_path / f"reference-{res}.csv"
         oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
-        got = (out / "fig5_monogamy_surface.csv").read_bytes()
-        assert got == want.read_bytes(), res
+        assert got.read_bytes() == want.read_bytes(), res
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 64))
 def test_fig5_bytes_match_the_row_by_row_reference_at_any_resolution(tmp_path_factory, res):
     tmp = tmp_path_factory.mktemp(f"fig5-{res}")
-    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=res)), tmp / "o")
+    sweep._write_fig5(tmp / "fig5.csv", res)
     want = tmp / "reference.csv"
     oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
-    assert (tmp / "o" / "fig5_monogamy_surface.csv").read_bytes() == want.read_bytes()
+    assert (tmp / "fig5.csv").read_bytes() == want.read_bytes()
 
 
 # fig5 formats its surface values with bytes %, the other cells with format()
@@ -454,8 +450,7 @@ def test_bytes_percent_g_formats_as_format_g(x):
 
 def test_dump_states_flag(tmp_path):
     out = tmp_path / "out"
-    run_sweep(RunConfig(sizes=(3,), out_dir=out, dump_states=True,
-                        surface_res=5))
+    run_sweep(RunConfig(sizes=(3,), out_dir=out, dump_states=True))
     dump = out / "state_n6.txt"
     assert dump.exists()
     assert dump.read_text().splitlines()[0] == "rvb n=6 boundary=periodic m=3"
@@ -471,7 +466,7 @@ def test_every_written_text_file_pins_its_line_ending(tmp_path, monkeypatch):
 
     for module in (sweep, state):
         monkeypatch.setattr(module, "open", recording_open, raising=False)
-    run_sweep(RunConfig(sizes=(3,), dump_states=True, surface_res=5, out_dir=tmp_path / "o"))
+    run_sweep(RunConfig(sizes=(3,), dump_states=True, out_dir=tmp_path / "o"))
     names = {name for name, _, _ in opened}
     assert {"config.txt", "state_n6.txt", "fig5_monogamy_surface.csv", "edges.csv"} <= names
     for name, mode, newline in opened:
@@ -572,7 +567,7 @@ def _emitted_steps_on_a_side(row, masks, out):
     GGM side in `masks`."""
     rows = [dataclasses.replace(row, ggm=dataclasses.replace(row.ggm, mask=mask))
             for mask in masks]
-    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=2), rows=rows), out)
+    sweep.emit_csv(EntanglementReport(config=RunConfig(), rows=rows), out)
     lines = (out / "detail" / "ggm.csv").read_text().splitlines()[1:]
     return [int(line.rsplit(",", 1)[1]) for line in lines]
 
@@ -601,7 +596,7 @@ def test_ggm_csv_counts_the_torus_step_bonds_inside_the_ggm_side(tmp_path):
     # c, c + m lies inside it, so a count from the ladder numbering reads 0
     lat = oracles.square_torus(4, 4)
     row = sweep._run_size(lat.n // 2, lat)
-    sweep.emit_csv(EntanglementReport(config=RunConfig(surface_res=2), rows=[row]), tmp_path)
+    sweep.emit_csv(EntanglementReport(config=RunConfig(), rows=[row]), tmp_path)
     header, line = (tmp_path / "detail" / "ggm.csv").read_text().splitlines()
     assert header.endswith(",maximizing_partition,steps_on_A_side")
     assert line.split(",")[3:] == ["0xff", "4"]
@@ -636,13 +631,14 @@ def test_run_sweep_validation(monkeypatch):
     monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
     with pytest.raises(ValueError):
         run_sweep(RunConfig(sizes=(), out_dir=None))
-    # m = 11 fails the MAX_SITES check, m = 1 and the bad boundary fail in
-    # build_ladder, and a float surface resolution fails its integer check;
-    # all of them before any size runs
+    # m = 11 fails the MAX_SITES check and a size that is not an integer its
+    # integer check, m = 1 and the bad boundary fail in build_ladder; all of
+    # them before any size runs
     for bad in (RunConfig(sizes=(1,), out_dir=None),
                 RunConfig(sizes=(11,), out_dir=None),  # 22 sites too large
-                RunConfig(sizes=(3,), boundary="twisted", out_dir=None),
-                RunConfig(sizes=(3, 4), out_dir=None, surface_res=2.5)):
+                RunConfig(sizes=(3.0,), out_dir=None),
+                RunConfig(sizes=("3",), out_dir=None),
+                RunConfig(sizes=(3,), boundary="twisted", out_dir=None)):
         with pytest.raises(ValueError):
             run_sweep(bad)
     assert ran == []
@@ -683,8 +679,7 @@ def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, 
 
 
 def test_cli_sweep_success(tmp_path, capsys):
-    code = cli.main(["sweep", "--sizes", "3,4", "--out", str(tmp_path / "o"),
-                     "--surface-res", "5"])
+    code = cli.main(["sweep", "--sizes", "3,4", "--out", str(tmp_path / "o")])
     assert code == 0
     shown = capsys.readouterr().out
     assert "coverings" in shown
@@ -698,14 +693,6 @@ def test_cli_rejects_bad_sizes(tmp_path, capsys):
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
-
-
-def test_cli_rejects_bad_surface_res_before_running(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = cli.main(["sweep", "--sizes", "3", "--surface-res", "1", "--out", str(out)])
-    assert code == 2
-    assert "surface resolution" in capsys.readouterr().err
-    assert not out.exists()  # no size ran and nothing was written
 
 
 def test_cli_rejects_repeated_sizes(tmp_path, capsys):
@@ -723,6 +710,16 @@ def test_cli_has_no_odd_wrap_option(tmp_path, capsys):
         cli.main(["sweep", "--odd-wrap", "twist", "--out", str(out)])
     assert exit_info.value.code == 2
     assert "--odd-wrap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_has_no_surface_res_option(tmp_path, capsys):
+    # fig5 is always the FIG5_RESOLUTION grid
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--surface-res", "5", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--surface-res" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -748,13 +745,12 @@ def test_cli_flags_reach_config(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     code = cli.main(["sweep", "--sizes", "4,6", "--boundary", "open",
                      "--out", str(tmp_path / "o"),
-                     "--dump-states", "--surface-res", "50"])
+                     "--dump-states"])
     assert code == 0
     cfg = seen["config"]
     assert cfg.sizes == (4, 6)
     assert cfg.boundary == "open"
     assert cfg.dump_states is True
-    assert cfg.surface_res == 50
     # without flags the CLI passes the library defaults
     out = str(tmp_path / "o")
     assert cli.main(["sweep", "--out", out]) == 0
