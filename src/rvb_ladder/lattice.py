@@ -10,10 +10,9 @@ is even, and edges within a row are "rails", edges within a column are
 "steps".
 """
 
+import functools
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 BOUNDARIES = ("open", "periodic")
 
@@ -27,14 +26,32 @@ class Edge:
     kind: str  # "rail" or "step"
     index: int  # position in Lattice.edges (keeps parallel edges distinct)
 
+    def __post_init__(self):
+        object.__setattr__(self, "a", _integer(self.a, "edge end a"))
+        object.__setattr__(self, "b", _integer(self.b, "edge end b"))
+
+
+def _integer(value, name):
+    """`value` as an int by `operator.index`: no float, no string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
 
 @dataclass(frozen=True)
 class Lattice:
+    """n >= 1 sites, their sublattice labels and edges; frozen, so the cached
+    `coverings` never go stale."""
+
     n: int
     sublattice: tuple  # sublattice[site] = "A" | "B"
     edges: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "site count n"))
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 sites, got {self.n}")
         if len(self.sublattice) != self.n:
             raise ValueError(f"{len(self.sublattice)} sublattice labels for {self.n} sites")
         for e in self.edges:
@@ -47,6 +64,41 @@ class Lattice:
     def sites(self):
         return range(self.n)
 
+    @functools.cached_property
+    def coverings(self):
+        """The sorted tuple of dimer coverings, found once per object (equal
+        lattices built apart share nothing) by `_matchings`."""
+        return _matchings(self.n, self.edges)
+
+
+def _matchings(n, edges):
+    """Sorted tuple of the perfect matchings, each a sorted tuple of (a, b).
+
+    Backtracking over the lowest uncovered site, the lowest zero bit of the
+    int `covered`. Parallel edges (periodic m = 2) give one covering each.
+    """
+    by_site = [[] for _ in range(n)]
+    for e in edges:
+        by_site[e.a].append((1 << e.b, (e.a, e.b)))
+        by_site[e.b].append((1 << e.a, (e.a, e.b)))
+    full = (1 << n) - 1
+    out = []
+    chosen = []
+
+    def extend(covered):
+        if covered == full:
+            out.append(tuple(sorted(chosen)))
+            return
+        low = ~covered & (covered + 1)
+        for bit, pair in by_site[low.bit_length() - 1]:
+            if not covered & bit:
+                chosen.append(pair)
+                extend(covered | low | bit)
+                chosen.pop()
+
+    extend(0)
+    return tuple(sorted(out))
+
 
 def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     """Construct the 2 x m ladder.
@@ -56,10 +108,7 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     rows instead (the twisted, Moebius closure) and every edge stays
     bipartite. `odd_wrap` names that closure; "twist" is its only value.
     """
-    try:
-        m = operator.index(m)  # numpy integers pass, floats and strings do not
-    except TypeError:
-        raise ValueError(f"ladder size m={m!r} is not an integer") from None
+    m = _integer(m, "ladder size m")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if boundary not in BOUNDARIES:
@@ -91,62 +140,11 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
 
 
 def enumerate_coverings(lattice):
-    """All perfect matchings, as sorted tuples of (a, b).
-
-    Recursive backtracking over the lowest uncovered site. Parallel edges
-    (periodic m = 2) contribute one covering each. Deterministic output order.
-    """
-    by_site = {s: [] for s in lattice.sites}
-    for e in lattice.edges:
-        by_site[e.a].append(e)
-        by_site[e.b].append(e)
-
-    out = []
-    covered = [False] * lattice.n
-    chosen = []
-
-    def extend():
-        try:
-            s = covered.index(False)
-        except ValueError:
-            out.append(tuple(sorted((e.a, e.b) for e in chosen)))
-            return
-        for e in by_site[s]:
-            other = e.b if e.a == s else e.a
-            if covered[other]:
-                continue
-            covered[s] = covered[other] = True
-            chosen.append(e)
-            extend()
-            chosen.pop()
-            covered[s] = covered[other] = False
-
-    extend()
-    return sorted(out)
+    """All perfect matchings, as sorted tuples of (a, b), in sorted order: a
+    new list of `lattice.coverings` on each call, so no caller can change it."""
+    return list(lattice.coverings)
 
 
 def count_coverings(lattice):
-    """Number of perfect matchings: the permanent of the A x B bond matrix.
-
-    Entry (i, j) counts the edges from the i-th A site to the j-th B site,
-    so the doubled rails of the periodic m = 2 ring count twice.
-    Ryser's formula sums over the 2^k column subsets S of the k x k matrix:
-    perm = sum_S (-1)^(k - |S|) prod_i sum_{j in S} M_ij, exact in int64.
-    It reads only the edge list and the sublattice labels, so it holds on
-    any bipartite lattice and shares nothing with the backtracking
-    enumeration.
-    """
-    a_sites = [s for s in lattice.sites if lattice.sublattice[s] == "A"]
-    b_sites = [s for s in lattice.sites if lattice.sublattice[s] == "B"]
-    if len(a_sites) != len(b_sites):
-        return 0
-    k = len(a_sites)
-    row = {s: i for i, s in enumerate(a_sites)}
-    col = {s: j for j, s in enumerate(b_sites)}
-    bonds = np.zeros((k, k), dtype=np.int64)
-    for e in lattice.edges:
-        bonds[row[e.a], col[e.b]] += 1
-    subsets = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    signs = 1 - 2 * ((k - subsets.sum(axis=1)) & 1)
-    return int(signs @ np.prod(subsets @ bonds.T, axis=1))
-
+    """Number of perfect matchings: the length of `lattice.coverings`."""
+    return len(lattice.coverings)

@@ -3,10 +3,11 @@
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from rvb_ladder import (Edge, Lattice, build_ladder, count_coverings,
-                        enumerate_coverings)
+                        enumerate_coverings, lattice, rvb_state)
 from rvb_ladder.measures import MAX_SITES
 
 import oracles
@@ -135,17 +136,63 @@ def test_count_matches_enumeration_everywhere():
     assert len(SWEEP_CONFIGS) == 18
     for m, b in SWEEP_CONFIGS:
         lat = build_ladder(m, b)
-        assert count_coverings(lat) == len(enumerate_coverings(lat)), (m, b)
+        assert oracles.covering_permanent(lat) == len(enumerate_coverings(lat)), (m, b)
 
 
 def test_count_on_a_torus_that_is_not_a_ladder():
-    # the count reads only the bond matrix, so it holds off the ladder
+    # the permanent reads only the bond matrix, so it holds off the ladder
     lat = oracles.square_torus(4, 4)
-    assert count_coverings(lat) == len(enumerate_coverings(lat)) == 272
+    assert oracles.covering_permanent(lat) == len(enumerate_coverings(lat)) == 272
     # a three-site path A-B-A has unequal sublattices and no covering
     path = Lattice(n=3, sublattice=("A", "B", "A"),
                    edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
-    assert count_coverings(path) == len(enumerate_coverings(path)) == 0
+    assert oracles.covering_permanent(path) == len(enumerate_coverings(path)) == 0
+
+
+def test_coverings_are_enumerated_once_per_lattice_object(monkeypatch):
+    real = lattice._matchings
+    runs = []
+
+    def counting(n, edges):
+        runs.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(lattice, "_matchings", counting)
+    lat = build_ladder(5, "periodic")
+    # the benchmark's call order on one ladder
+    coverings = enumerate_coverings(lat)
+    assert count_coverings(lat) == len(coverings) == 13
+    psi = rvb_state(lat)
+    assert runs == [10]
+    # an equal lattice built apart shares no cache with it
+    twin = build_ladder(5, "periodic")
+    assert twin == lat and twin is not lat
+    assert enumerate_coverings(twin) == coverings
+    assert runs == [10, 10]
+    # each call returns a new list: changing one leaves the lattice's cache
+    coverings.clear()
+    enumerate_coverings(lat).append(((0, 1),))
+    assert count_coverings(lat) == 13
+    assert rvb_state(lat).tobytes() == psi.tobytes()
+    assert runs == [10, 10]
+
+
+def test_lattice_refuses_a_site_count_or_edge_end_that_is_not_an_integer():
+    step = Edge(0, 1, "step", 0)
+    with pytest.raises(ValueError, match="site count n=2.0 is not an integer"):
+        Lattice(2.0, ("A", "B"), (step,))
+    with pytest.raises(ValueError, match="edge end a=0.0 is not an integer"):
+        Edge(0.0, 1, "step", 0)
+    with pytest.raises(ValueError, match="edge end b='1' is not an integer"):
+        Edge(0, "1", "step", 0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        Lattice(0, (), ())
+    # numpy integers pass, as plain ints
+    lat = Lattice(np.int64(2), ("A", "B"), (Edge(np.int64(0), np.int32(1), "step", 0),))
+    assert lat == Lattice(2, ("A", "B"), (step,))
+    assert type(lat.n) is int and type(lat.edges[0].a) is int
+    assert enumerate_coverings(lat) == [((0, 1),)]
+    assert rvb_state(lat).tolist() == pytest.approx([0.0, -2 ** -0.5, 2 ** -0.5, 0.0])
 
 
 def test_expected_covering_counts():
