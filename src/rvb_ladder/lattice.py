@@ -1,13 +1,13 @@
 """Bipartite lattices and their nearest-neighbor dimer coverings.
 
 A `Lattice` is n sites with sublattice labels and an edge list; every edge
-joins the two sublattices and stores its A-site endpoint first, and
-`Lattice` refuses any other edge. The enumeration, the count and the
-states read nothing else. `build_ladder` is the ladder constructor: sites
-of a 2 x m ladder are indexed row-major, site = row * m + col with row in
-{0, 1}, the sublattice label is the checkerboard rule, A iff (row + col)
-is even, and edges within a row are "rails", edges within a column are
-"steps".
+joins the two sublattices, stores its A-site endpoint first and carries
+its position in the list as its index, and `Lattice` refuses any other
+edge. The enumeration, the count and the states read nothing else.
+`build_ladder` is the ladder constructor: sites of a 2 x m ladder are
+indexed row-major, site = row * m + col with row in {0, 1}, the sublattice
+label is the checkerboard rule, A iff (row + col) is even, and edges within
+a row are "rails", edges within a column are "steps".
 """
 
 import functools
@@ -29,6 +29,7 @@ class Edge:
     def __post_init__(self):
         object.__setattr__(self, "a", _integer(self.a, "edge end a"))
         object.__setattr__(self, "b", _integer(self.b, "edge end b"))
+        object.__setattr__(self, "index", _integer(self.index, "edge index"))
 
 
 def _integer(value, name):
@@ -54,15 +55,13 @@ class Lattice:
             raise ValueError(f"need n >= 1 sites, got {self.n}")
         if len(self.sublattice) != self.n:
             raise ValueError(f"{len(self.sublattice)} sublattice labels for {self.n} sites")
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
+            if e.index != i:
+                raise ValueError(f"{e} is at position {i} of the edges, not at its index")
             if not (0 <= e.a < self.n and 0 <= e.b < self.n):
                 raise ValueError(f"{e} has an end outside the {self.n} sites")
             if (self.sublattice[e.a], self.sublattice[e.b]) != ("A", "B"):
                 raise ValueError(f"{e} does not run from an A site to a B site")
-
-    @property
-    def sites(self):
-        return range(self.n)
 
     @functools.cached_property
     def coverings(self):

@@ -21,11 +21,11 @@ solved.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _integer
 from .state import SINGLET_TOL, require_singlet, site_count
 
 _P_EPS = 1e-12
@@ -67,20 +67,17 @@ def monogamy_check(p_r, p_s):
 
 
 def monogamy_surface_sample(grid_resolution):
-    """Sample (3p_r-1)^2/2 + (3p_s-1)^2/4 - 1 on the [-1/3, 1]^2 grid."""
-    try:
-        res = operator.index(grid_resolution)  # numpy integers pass, floats do not
-    except TypeError:
-        raise ValueError(f"grid resolution {grid_resolution!r} is not an integer") from None
+    """(axis, surface): the `res` points of [-1/3, 1], and the (res, res) grid
+    of (3p_r-1)^2/2 + (3p_s-1)^2/4 - 1 with p_r = axis[i] down the rows and
+    p_s = axis[j] across."""
+    res = _integer(grid_resolution, "grid resolution")
     if res < 2:
         raise ValueError("need grid resolution >= 2")
     axis = np.linspace(-1.0 / 3.0, 1.0, res)
-    p_r, p_s = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
     # square each axis point once with pow(), as float64 scalars do; an array's
     # x * x can differ in the last bit, and fig5's bytes are pinned to pow()
     sq = np.float_power(3.0 * axis - 1.0, 2)
-    val = (sq[:, None] / 2.0 + sq / 4.0 - 1.0).ravel()
-    return np.column_stack([p_r, p_s, val])
+    return axis, sq[:, None] / 2.0 + sq / 4.0 - 1.0
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ def poly_fit(xs, ys, model):
         raise ValueError(f"model must be one of {tuple(FIT_MODELS)}, got {model!r}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("x and y values must be finite")
     X = np.column_stack([xs ** k for k in FIT_MODELS[model]])
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")

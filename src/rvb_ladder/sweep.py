@@ -1,6 +1,5 @@
 """Full sweeps over ladder sizes, figure CSV emission, and the caption fits."""
 
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,10 +60,7 @@ def run_sweep(config):
     # the site limit is checked before any ladder is built, so an oversized
     # size fails at once; build_ladder owns the checks on m >= 2 and boundary
     for m in config.sizes:
-        try:
-            n = 2 * operator.index(m)  # numpy integers pass, floats and strings do not
-        except TypeError:
-            raise ValueError(f"size m={m!r} is not an integer") from None
+        n = 2 * lattice._integer(m, "size m")
         if n > measures.MAX_SITES:
             raise ValueError(f"size m={m} has {n} sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
@@ -85,7 +81,8 @@ def run_sweep(config):
 
 
 def fit_figures(report):
-    """Attach the two theta-vs-N fits and the p_r-vs-p_s quadratic (>= 3 sizes)."""
+    """Attach the two theta-vs-N fits and the p_r-vs-p_s quadratic (>= 3 sizes),
+    None where too few sizes; `fits.csv` lists them in this order."""
     report.fits = {"fig6_linear": None, "fig6_quadratic": None, "fig7_quadratic": None}
     theta_rows = [(r.n, r.cloning.theta_max) for r in report.rows
                   if r.cloning.theta_max is not None]
@@ -122,23 +119,21 @@ def _write_csv(path, header, rows):
 def _write_fig5(path, grid_resolution):
     """The monogamy surface, one write per grid row (one p_r).
 
-    Same bytes as `_write_csv` on rows of floats. Both columns sample one
-    axis, so its values (the p_s of the first grid row) are formatted once,
-    by `_fmt`, into one bytes row template `b"\\0,<p_s>,%.12g\\n"` per axis
-    value. Each grid row puts its p_r text in place of the NUL marks and
-    formats its surface values with one `%`. Bytes `%` and `format` with
+    Same bytes as `_write_csv` on rows of floats. Both columns sample the
+    sampler's axis, so its values are formatted once, by `_fmt`, into one
+    bytes row template `b"\\0,<p_s>,%.12g\\n"` per axis value. Each grid
+    row puts its p_r text in place of the NUL marks and formats its
+    surface values with one `%`. Bytes `%` and `format` with
     `_fmt`'s spec call the same CPython routine (`PyOS_double_to_string`,
     mode 'g', precision 12), so the text is `_fmt`'s; the axis text holds no
     `%` or NUL to be misread.
     """
-    surface = measures.monogamy_surface_sample(grid_resolution)
-    axis = [_fmt(v).encode() for v in surface[:grid_resolution, 1].tolist()]
+    axis, surface = measures.monogamy_surface_sample(grid_resolution)
+    axis = [_fmt(v).encode() for v in axis.tolist()]
     template = b"".join(b"\0," + p_s + b",%.12g\n" for p_s in axis)
-    values = surface[:, 2].tolist()
     with open(path, "wb") as fh:
         fh.write(b"p_r,p_s,surface_value\n")
-        for i, p_r in enumerate(axis):
-            row = values[i * grid_resolution:(i + 1) * grid_resolution]
+        for p_r, row in zip(axis, surface.tolist()):
             fh.write(template.replace(b"\0", p_r) % tuple(row))
 
 
@@ -208,8 +203,7 @@ def emit_csv(report, out_dir):
                      for e in r.lattice.edges if e.kind == "step")) for r in rows])
 
     fit_rows = []
-    for name in ("fig6_linear", "fig6_quadratic", "fig7_quadratic"):
-        fit = report.fits.get(name)
+    for name, fit in report.fits.items():
         if fit is None:
             continue
         coeff = list(fit.coefficients) + [None] * (3 - len(fit.coefficients))

@@ -100,8 +100,8 @@ def covering_permanent(lattice):
     any bipartite lattice and shares nothing with the backtracking
     enumeration.
     """
-    a_sites = [s for s in lattice.sites if lattice.sublattice[s] == "A"]
-    b_sites = [s for s in lattice.sites if lattice.sublattice[s] == "B"]
+    a_sites = [s for s in range(lattice.n) if lattice.sublattice[s] == "A"]
+    b_sites = [s for s in range(lattice.n) if lattice.sublattice[s] == "B"]
     if len(a_sites) != len(b_sites):
         return 0
     k = len(a_sites)
@@ -571,7 +571,7 @@ def reference_p_avg(lattice, fits):
     None when no site has degree 3.
     """
     regional = []
-    for site in lattice.sites:
+    for site in range(lattice.n):
         incident = [e for e in lattice.edges if site in (e.a, e.b)]
         if len(incident) == 3:
             regional.extend(fits[e].p for e in incident)
@@ -667,27 +667,26 @@ def dense_ggm_scan(psi):
 
 
 def loop_monogamy_surface_sample(grid_resolution):
-    """(p_r, p_s, surface value) rows of the monogamy surface, filled by a
-    double loop over the grid in scalar float64 arithmetic."""
+    """(axis, surface) of the monogamy surface: the grid filled by a double
+    loop over (p_r, p_s) = (axis[i], axis[j]) in scalar float64 arithmetic."""
     axis = np.linspace(-1.0 / 3.0, 1.0, grid_resolution)
-    rows = np.empty((grid_resolution * grid_resolution, 3))
-    k = 0
-    for p_r in axis:
-        for p_s in axis:
-            val = (3.0 * p_r - 1.0) ** 2 / 2.0 + (3.0 * p_s - 1.0) ** 2 / 4.0 - 1.0
-            rows[k] = (p_r, p_s, val)
-            k += 1
-    return rows
+    surface = np.empty((grid_resolution, grid_resolution))
+    for i, p_r in enumerate(axis):
+        for j, p_s in enumerate(axis):
+            surface[i, j] = (3.0 * p_r - 1.0) ** 2 / 2.0 + (3.0 * p_s - 1.0) ** 2 / 4.0 - 1.0
+    return axis, surface
 
 
-def reference_fig5_csv(surface, path):
-    """fig5 written one line per sample row: each row as a tuple of Python
-    floats, every value formatted with ".12g" (the float case of the
-    sweep's CSV cell format), one write per line."""
+def reference_fig5_csv(axis, surface, path):
+    """fig5 written one line per grid point (axis[i], axis[j], surface[i, j]),
+    in row-major order: each value a Python float formatted with ".12g" (the
+    float case of the sweep's CSV cell format), one write per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("p_r,p_s,surface_value\n")
-        for row in surface:
-            fh.write(",".join(format(v, ".12g") for v in map(float, row)) + "\n")
+        for i, p_r in enumerate(axis):
+            for j, p_s in enumerate(axis):
+                row = (p_r, p_s, surface[i, j])
+                fh.write(",".join(format(v, ".12g") for v in map(float, row)) + "\n")
 
 
 def singlet_combination(terms, n):

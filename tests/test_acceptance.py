@@ -120,7 +120,7 @@ def test_criterion_2_werner_form(paper_run):
         for e, fit in row.fits.items():
             rho = oracles.partial_trace(row.state, [e.a, e.b])
             worst_edge = max(worst_edge, float(np.max(np.abs(rho - oracles.werner_state(fit.p)))))
-        for s in row.lattice.sites:
+        for s in range(row.lattice.n):
             rho = oracles.partial_trace(row.state, [s])
             worst_site = max(worst_site, float(np.max(np.abs(rho - np.eye(2) / 2.0))))
     ok = worst_edge < 1e-8 and worst_site < 1e-10

@@ -167,7 +167,7 @@ def test_stacked_werner_fit_matches_single_fit_on_perturbed_states(ladder_state)
 def test_single_site_marginals_maximally_mixed(ladder_state):
     for m, b in oracles.EXPECTED:
         lat, psi = ladder_state(m, b)
-        for s in lat.sites:
+        for s in range(lat.n):
             rho = oracles.partial_trace(psi, [s])
             assert np.max(np.abs(rho - np.eye(2) / 2.0)) < 1e-10, (m, b, s)
 
@@ -188,7 +188,7 @@ def test_pairs_that_share_no_edge_are_not_entangled(ladder_state, m, boundary):
     # other pair has p <= 1/3 by the dense fit (the largest, 1/7, at periodic m = 4)
     lat, psi = ladder_state(m, boundary)
     bonded = {frozenset((e.a, e.b)) for e in lat.edges}
-    for i, j in itertools.combinations(lat.sites, 2):
+    for i, j in itertools.combinations(range(lat.n), 2):
         if frozenset((i, j)) not in bonded:
             p = oracles.werner_fit(oracles.partial_trace(psi, [i, j])).p
             assert p <= 1.0 / 3.0, (m, boundary, i, j, p)
@@ -375,7 +375,7 @@ def test_aggregates_within_one_ulp_of_the_exact_mean(ladder_state, m, boundary):
     lat, psi = ladder_state(m, boundary)
     fits, agg = edge_werner_parameters(lat, psi)
     rails, steps = oracles.rail_and_step_ps(lat, fits)
-    regional = [fits[e].p for s in lat.sites for e in lat.edges
+    regional = [fits[e].p for s in range(lat.n) for e in lat.edges
                 if s in (e.a, e.b) and sum(s in (f.a, f.b) for f in lat.edges) == 3]
     for got, ps in ((agg.p_r, rails), (agg.p_s, steps), (agg.p_avg, regional)):
         if not ps:

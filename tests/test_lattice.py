@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from rvb_ladder import (Edge, Lattice, build_ladder, count_coverings,
-                        enumerate_coverings, lattice, rvb_state)
+                        edge_werner_parameters, enumerate_coverings, lattice,
+                        rvb_state)
 from rvb_ladder.measures import MAX_SITES
 
 import oracles
@@ -129,7 +130,7 @@ def test_every_covering_is_a_perfect_matching():
         lat = build_ladder(m, b)
         for covering in enumerate_coverings(lat):
             seen = [s for pair in covering for s in pair]
-            assert sorted(seen) == list(lat.sites)
+            assert sorted(seen) == list(range(lat.n))
 
 
 def test_count_matches_enumeration_everywhere():
@@ -195,6 +196,21 @@ def test_lattice_refuses_a_site_count_or_edge_end_that_is_not_an_integer():
     assert rvb_state(lat).tolist() == pytest.approx([0.0, -2 ** -0.5, 2 ** -0.5, 0.0])
 
 
+def test_lattice_refuses_an_edge_whose_index_is_not_its_position():
+    # the index keeps parallel bonds apart as keys of the Werner fits
+    step = Edge(0, 1, "step", 0)
+    with pytest.raises(ValueError, match="is at position 1 of the edges"):
+        Lattice(2, ("A", "B"), (step, Edge(0, 1, "step", 0)))
+    with pytest.raises(ValueError, match="is at position 0 of the edges"):
+        Lattice(2, ("A", "B"), (Edge(0, 1, "step", 1),))
+    with pytest.raises(ValueError, match="edge index=0.0 is not an integer"):
+        Edge(0, 1, "step", 0.0)
+    lat = Lattice(2, ("A", "B"), (step, Edge(0, 1, "step", np.int64(1))))
+    assert type(lat.edges[1].index) is int
+    fits, _ = edge_werner_parameters(lat, rvb_state(lat))
+    assert len(fits) == 2
+
+
 def test_expected_covering_counts():
     for (m, b), exp in oracles.EXPECTED.items():
         lat = build_ladder(m, b)
@@ -225,7 +241,7 @@ def test_degree_and_incident_edges():
         return len([e for e in lat.edges if s in (e.a, e.b)])
 
     lat = build_ladder(4, "periodic")
-    for s in lat.sites:
+    for s in range(lat.n):
         assert degree(lat, s) == 3
     lat_open = build_ladder(4, "open")
     assert degree(lat_open, 0) == 2
@@ -233,7 +249,7 @@ def test_degree_and_incident_edges():
 
 
 def _edge_multiset(lat, perm=None):
-    perm = perm or tuple(lat.sites)
+    perm = perm or tuple(range(lat.n))
     return collections.Counter(frozenset((perm[e.a], perm[e.b])) for e in lat.edges)
 
 
@@ -241,11 +257,11 @@ def test_automorphisms_preserve_the_edges():
     for m, b in oracles.CONFIGS:
         lat = build_ladder(m, b)
         group = oracles.automorphisms(lat)
-        assert group[0] == tuple(lat.sites), (m, b)
+        assert group[0] == tuple(range(lat.n)), (m, b)
         assert len(set(group)) == len(group)
         edges = _edge_multiset(lat)
         for perm in group:
-            assert sorted(perm) == list(lat.sites)
+            assert sorted(perm) == list(range(lat.n))
             assert _edge_multiset(lat, perm) == edges, (m, b, perm)
 
 
@@ -287,7 +303,7 @@ def test_automorphism_generators_generate_the_group(m, b, closure):
     assert len(gens) <= 4
     edges = _edge_multiset(lat)
     for perm in gens:
-        assert sorted(perm) == list(lat.sites)
+        assert sorted(perm) == list(range(lat.n))
         assert _edge_multiset(lat, perm) == edges, perm
     group = oracles.group_closure(gens, lat.n)
     assert group == set(oracles.automorphisms(lat))

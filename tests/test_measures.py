@@ -118,27 +118,33 @@ def test_monogamy_flags_the_doubled_rail_of_the_periodic_four_site_ring():
 
 
 def test_monogamy_surface_grid():
-    rows = monogamy_surface_sample(5)
-    assert rows.shape == (25, 3)
-    assert rows[0][0] == pytest.approx(-1.0 / 3.0)
-    assert rows[-1][1] == pytest.approx(1.0)
-    for p_r, p_s, val in rows:
-        want = (3 * p_r - 1) ** 2 / 2.0 + (3 * p_s - 1) ** 2 / 4.0 - 1.0
-        assert val == pytest.approx(want)
+    axis, surface = monogamy_surface_sample(5)
+    assert axis.shape == (5,)
+    assert surface.shape == (5, 5)
+    assert axis[0] == pytest.approx(-1.0 / 3.0)
+    assert axis[-1] == pytest.approx(1.0)
+    # p_r = axis[i] down the rows, p_s = axis[j] across
+    for i, p_r in enumerate(axis):
+        for j, p_s in enumerate(axis):
+            want = (3 * p_r - 1) ** 2 / 2.0 + (3 * p_s - 1) ** 2 / 4.0 - 1.0
+            assert surface[i, j] == pytest.approx(want)
     # corners: the most negative point is (1/3, 1/3) -> -1; (1,1) -> 2
-    assert rows[:, 2].min() >= -1.0 - 1e-12
-    assert rows[-1][2] == pytest.approx(2.0)
+    assert surface.min() >= -1.0 - 1e-12
+    assert surface[-1, -1] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         monogamy_surface_sample(1)
     with pytest.raises(ValueError, match="not an integer"):
         monogamy_surface_sample(2.5)
-    assert monogamy_surface_sample(np.int64(5)).tobytes() == rows.tobytes()
+    for got, want in zip(monogamy_surface_sample(np.int64(5)), (axis, surface)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_monogamy_surface_bit_identical_to_scalar_loop():
     for res in (2, 5, 42, 64, 83, 100, 257):
+        got = monogamy_surface_sample(res)
         want = oracles.loop_monogamy_surface_sample(res)
-        assert monogamy_surface_sample(res).tobytes() == want.tobytes(), res
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), res
 
 
 def test_cloning_sets_shape():

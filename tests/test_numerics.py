@@ -147,3 +147,11 @@ def test_poly_fit_validation():
     with pytest.raises(ValueError):
         # duplicate abscissas make the design singular
         poly_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "full_quadratic")
+
+
+def test_poly_fit_refuses_non_finite_values(capfd):
+    for xs, ys in (([1, 2, 3], [1, math.nan, 3]), ([1, math.inf, 3], [1, 2, 3])):
+        with pytest.raises(ValueError, match="must be finite"):
+            poly_fit(xs, ys, "linear")
+    # refused before LAPACK, which would print its own complaint to stderr
+    assert capfd.readouterr().err == ""

@@ -425,7 +425,7 @@ def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
         got = tmp_path / f"fig5-{res}.csv"
         sweep._write_fig5(got, res)
         want = tmp_path / f"reference-{res}.csv"
-        oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
+        oracles.reference_fig5_csv(*measures.monogamy_surface_sample(res), want)
         assert got.read_bytes() == want.read_bytes(), res
 
 
@@ -435,7 +435,7 @@ def test_fig5_bytes_match_the_row_by_row_reference_at_any_resolution(tmp_path_fa
     tmp = tmp_path_factory.mktemp(f"fig5-{res}")
     sweep._write_fig5(tmp / "fig5.csv", res)
     want = tmp / "reference.csv"
-    oracles.reference_fig5_csv(measures.monogamy_surface_sample(res), want)
+    oracles.reference_fig5_csv(*measures.monogamy_surface_sample(res), want)
     assert (tmp / "fig5.csv").read_bytes() == want.read_bytes()
 
 
