@@ -8,10 +8,11 @@ from .sweep import RunConfig, run_sweep
 
 
 def _parse_sizes(text):
-    try:
-        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
+    # ASCII digits only: int() would also read "1_0" as 10, and other scripts' digits
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise argparse.ArgumentTypeError(f"bad size list {text!r}; expected e.g. 3,4,5,6")
+    sizes = tuple(int(tok) for tok in tokens)
     if not sizes:
         raise argparse.ArgumentTypeError("size list is empty")
     return sizes
@@ -53,7 +54,7 @@ def main(argv=None):
     print(f"{'n':>4} {'coverings':>10} {'p_r':>9} {'p_s':>9} {'p_avg':>9} "
           f"{'theta_max':>10} {'ggm':>9} {'monogamy':>9}")
     for row in report.rows:
-        print(f"{row.n:>4} {row.covering_count:>10} "
+        print(f"{row.n:>4} {len(row.lattice.coverings):>10} "
               f"{row.aggregates.p_r:>9.6f} {row.aggregates.p_s:>9.6f} "
               f"{_fmt(row.aggregates.p_avg):>9} {_fmt(row.cloning.theta_max):>10} "
               f"{row.ggm.value:>9.6f} "

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _integer
 from .state import SINGLET_TOL, require_singlet, site_count
 
 _P_EPS = 1e-12
@@ -37,6 +36,7 @@ _TIE_TOL = 1e-12  # Schmidt^2 gap below which two bipartitions tie
 # 3 sqrt(SINGLET_TOL / 2) together, and a second _TIE_TOL covers rounding
 _PRUNE_MARGIN = 3.0 * math.sqrt(SINGLET_TOL / 2.0) + 2.0 * _TIE_TOL
 MAX_SITES = 20  # largest state the GGM scan and the sweep accept
+FIG5_RESOLUTION = 100  # points per axis of the fig5 monogamy surface grid
 
 
 def _require_werner(p):
@@ -66,14 +66,11 @@ def monogamy_check(p_r, p_s):
                           satisfied=2.0 * t_r + t_s <= 1.0 + 1e-12)
 
 
-def monogamy_surface_sample(grid_resolution):
-    """(axis, surface): the `res` points of [-1/3, 1], and the (res, res) grid
-    of (3p_r-1)^2/2 + (3p_s-1)^2/4 - 1 with p_r = axis[i] down the rows and
-    p_s = axis[j] across."""
-    res = _integer(grid_resolution, "grid resolution")
-    if res < 2:
-        raise ValueError("need grid resolution >= 2")
-    axis = np.linspace(-1.0 / 3.0, 1.0, res)
+def monogamy_surface_sample():
+    """(axis, surface): the FIG5_RESOLUTION points of [-1/3, 1], and the square
+    grid of (3p_r-1)^2/2 + (3p_s-1)^2/4 - 1 with p_r = axis[i] down the rows
+    and p_s = axis[j] across."""
+    axis = np.linspace(-1.0 / 3.0, 1.0, FIG5_RESOLUTION)
     # square each axis point once with pow(), as float64 scalars do; an array's
     # x * x can differ in the last bit, and fig5's bytes are pinned to pow()
     sq = np.float_power(3.0 * axis - 1.0, 2)

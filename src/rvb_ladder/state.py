@@ -97,12 +97,15 @@ def total_spin_squared(state):
 def require_singlet(state, spin_sq=None):
     """<S^2> of a normalized total singlet, the precondition of `ggm` and of
     the Werner fits; ValueError for a length other than 2^n, a norm more
-    than 1e-10 from 1, or <S^2> above SINGLET_TOL; a NaN fails both bounds.
+    than 1e-10 from 1, or <S^2> outside [0, SINGLET_TOL]; a NaN fails both
+    bounds.
 
     `spin_sq` is the state's <S^2> if the caller has measured it already;
-    else it is measured here. The weight outside the singlet space is at
-    most <S^2>/2, which SINGLET_TOL keeps small enough for every two-site
-    marginal to be Werner-form within density.WERNER_TOL (docs/decisions.md).
+    else it is measured here. A measured <S^2> is a sum of non-negative
+    terms (S_z is an integer at even n), so a negative one is refused. The
+    weight outside the singlet space is at most <S^2>/2, which SINGLET_TOL
+    keeps small enough for every two-site marginal to be Werner-form within
+    density.WERNER_TOL (docs/decisions.md).
     """
     psi = np.asarray(state)
     site_count(psi)
@@ -110,7 +113,7 @@ def require_singlet(state, spin_sq=None):
         raise ValueError("state is not normalized")
     if spin_sq is None:
         spin_sq = total_spin_squared(psi)
-    if not spin_sq <= SINGLET_TOL:
+    if not 0.0 <= spin_sq <= SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
     return spin_sq
 

@@ -5,8 +5,6 @@ from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
 
-FIG5_RESOLUTION = 100  # points per axis of the fig5 monogamy surface grid
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -20,7 +18,6 @@ class RunConfig:
 class SizeRow:
     m: int
     n: int
-    covering_count: int
     fits: dict  # Edge -> WernerFit
     aggregates: density.EdgeAggregates
     monogamy: measures.MonogamyRecord
@@ -47,8 +44,8 @@ def _run_size(m, lat):
     fits, agg = density.edge_werner_parameters(lat, psi, spin_sq=gg.total_spin_sq)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
-    return SizeRow(m=m, n=lat.n, covering_count=lattice.count_coverings(lat), fits=fits,
-                   aggregates=agg, monogamy=mono, cloning=clone, ggm=gg, lattice=lat, state=psi)
+    return SizeRow(m=m, n=lat.n, fits=fits, aggregates=agg, monogamy=mono, cloning=clone,
+                   ggm=gg, lattice=lat, state=psi)
 
 
 def run_sweep(config):
@@ -116,7 +113,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_fig5(path, grid_resolution):
+def _write_fig5(path):
     """The monogamy surface, one write per grid row (one p_r).
 
     Same bytes as `_write_csv` on rows of floats. Both columns sample the
@@ -128,7 +125,7 @@ def _write_fig5(path, grid_resolution):
     mode 'g', precision 12), so the text is `_fmt`'s; the axis text holds no
     `%` or NUL to be misread.
     """
-    axis, surface = measures.monogamy_surface_sample(grid_resolution)
+    axis, surface = measures.monogamy_surface_sample()
     axis = [_fmt(v).encode() for v in axis.tolist()]
     template = b"".join(b"\0," + p_s + b",%.12g\n" for p_s in axis)
     with open(path, "wb") as fh:
@@ -166,7 +163,7 @@ def emit_csv(report, out_dir):
                [(r.n, r.aggregates.p_s) for r in rows])
     _write_csv(out / "fig4_p_avg.csv", ["n", "p_avg"],
                [(r.n, r.aggregates.p_avg) for r in rows])
-    _write_fig5(out / "fig5_monogamy_surface.csv", FIG5_RESOLUTION)
+    _write_fig5(out / "fig5_monogamy_surface.csv")
     _write_csv(out / "fig6_theta_max.csv", ["n", "theta_max"],
                [(r.n, r.cloning.theta_max) for r in rows])
     _write_csv(out / "fig7_pr_vs_ps.csv", ["n", "p_s", "p_r"],

@@ -11,6 +11,7 @@ import pytest
 
 from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, edge_werner_parameters, ggm,
                         run_sweep, rvb_state, total_spin_squared)
+from rvb_ladder.state import require_singlet
 
 import oracles
 
@@ -282,6 +283,17 @@ def test_a_nan_fails_the_singlet_precondition(ladder_state):
             call()
     with pytest.raises(ValueError, match="not a total singlet: S\\^2 = nan"):
         edge_werner_parameters(lat, psi, spin_sq=float("nan"))
+
+
+def test_a_negative_spin_squared_fails_the_singlet_precondition(ladder_state):
+    # a measured <S^2> of an even-n state is a sum of non-negative terms, so a
+    # supplied negative one is a caller's error, not a singlet
+    lat, psi = ladder_state(3, "periodic")
+    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = -1.000e\\+00"):
+        require_singlet(psi, -1.0)
+    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = -5.000e\\+00"):
+        edge_werner_parameters(lat, psi, spin_sq=-5.0)
+    assert require_singlet(psi, -0.0) == 0.0
 
 
 def test_edge_werner_parameters_refuse_a_state_of_another_lattice():

@@ -118,9 +118,9 @@ def test_monogamy_flags_the_doubled_rail_of_the_periodic_four_site_ring():
 
 
 def test_monogamy_surface_grid():
-    axis, surface = monogamy_surface_sample(5)
-    assert axis.shape == (5,)
-    assert surface.shape == (5, 5)
+    axis, surface = monogamy_surface_sample()
+    assert axis.shape == (100,)
+    assert surface.shape == (100, 100)
     assert axis[0] == pytest.approx(-1.0 / 3.0)
     assert axis[-1] == pytest.approx(1.0)
     # p_r = axis[i] down the rows, p_s = axis[j] across
@@ -128,23 +128,18 @@ def test_monogamy_surface_grid():
         for j, p_s in enumerate(axis):
             want = (3 * p_r - 1) ** 2 / 2.0 + (3 * p_s - 1) ** 2 / 4.0 - 1.0
             assert surface[i, j] == pytest.approx(want)
-    # corners: the most negative point is (1/3, 1/3) -> -1; (1,1) -> 2
+    # the most negative point is (1/3, 1/3) -> -1; 3p - 1 = -2 or 2 at both
+    # ends of the axis, so every corner is 4/2 + 4/4 - 1 = 2
     assert surface.min() >= -1.0 - 1e-12
-    assert surface[-1, -1] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        monogamy_surface_sample(1)
-    with pytest.raises(ValueError, match="not an integer"):
-        monogamy_surface_sample(2.5)
-    for got, want in zip(monogamy_surface_sample(np.int64(5)), (axis, surface)):
-        assert got.tobytes() == want.tobytes()
+    for corner in (surface[0, 0], surface[0, -1], surface[-1, 0], surface[-1, -1]):
+        assert corner == pytest.approx(2.0)
 
 
 def test_monogamy_surface_bit_identical_to_scalar_loop():
-    for res in (2, 5, 42, 64, 83, 100, 257):
-        got = monogamy_surface_sample(res)
-        want = oracles.loop_monogamy_surface_sample(res)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes(), res
+    got = monogamy_surface_sample()
+    want = oracles.loop_monogamy_surface_sample(measures.FIG5_RESOLUTION)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_cloning_sets_shape():
