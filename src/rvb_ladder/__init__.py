@@ -10,8 +10,7 @@ emit one CSV per published figure.
 """
 
 from .density import EdgeAggregates, WernerFit, edge_werner_parameters
-from .lattice import (Edge, Lattice, build_ladder, count_coverings,
-                      enumerate_coverings)
+from .lattice import Edge, Lattice, build_ladder
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
                        monogamy_surface_sample, tangle)
@@ -20,8 +19,7 @@ from .state import dump_state, rvb_state, total_spin_squared
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
 
 __all__ = [
-    "Edge", "Lattice", "build_ladder", "enumerate_coverings",
-    "count_coverings",
+    "Edge", "Lattice", "build_ladder",
     "rvb_state", "total_spin_squared",
     "dump_state",
     "WernerFit", "EdgeAggregates",

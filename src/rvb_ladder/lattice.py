@@ -1,13 +1,13 @@
 """Bipartite lattices and their nearest-neighbor dimer coverings.
 
-A `Lattice` is n sites with sublattice labels and an edge list; every edge
-joins the two sublattices, stores its A-site endpoint first and carries
-its position in the list as its index, and `Lattice` refuses any other
-edge. The enumeration, the count and the states read nothing else.
-`build_ladder` is the ladder constructor: sites of a 2 x m ladder are
-indexed row-major, site = row * m + col with row in {0, 1}, the sublattice
-label is the checkerboard rule, A iff (row + col) is even, and edges within
-a row are "rails", edges within a column are "steps".
+A `Lattice` is n sites and an edge list. Each edge stores its A end first
+and carries its position in the list as its index; the A sites are the
+edges' `a` ends and the B sites their `b` ends, and `Lattice` refuses a
+site that is both. The enumeration, the count and the states read nothing
+else. `build_ladder` is the ladder constructor: sites of a 2 x m ladder
+are indexed row-major, site = row * m + col with row in {0, 1}, a site is
+an A end iff (row + col) is even (the checkerboard rule), and edges
+within a row are "rails", edges within a column are "steps".
 """
 
 import functools
@@ -19,7 +19,7 @@ BOUNDARIES = ("open", "periodic")
 
 @dataclass(frozen=True)
 class Edge:
-    """One lattice bond; `a` is the A-sublattice site."""
+    """One lattice bond; `a` is its A end, `b` its B end."""
 
     a: int
     b: int
@@ -42,26 +42,25 @@ def _integer(value, name):
 
 @dataclass(frozen=True)
 class Lattice:
-    """n >= 1 sites, their sublattice labels and edges; frozen, so the cached
+    """n >= 1 sites and their A-end-first edges; frozen, so the cached
     `coverings` never go stale."""
 
     n: int
-    sublattice: tuple  # sublattice[site] = "A" | "B"
     edges: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "site count n"))
         if self.n < 1:
             raise ValueError(f"need n >= 1 sites, got {self.n}")
-        if len(self.sublattice) != self.n:
-            raise ValueError(f"{len(self.sublattice)} sublattice labels for {self.n} sites")
         for i, e in enumerate(self.edges):
             if e.index != i:
                 raise ValueError(f"{e} is at position {i} of the edges, not at its index")
             if not (0 <= e.a < self.n and 0 <= e.b < self.n):
                 raise ValueError(f"{e} has an end outside the {self.n} sites")
-            if (self.sublattice[e.a], self.sublattice[e.b]) != ("A", "B"):
-                raise ValueError(f"{e} does not run from an A site to a B site")
+        # one rule refuses self-loops and odd cycles too: both need such a site
+        both = {e.a for e in self.edges} & {e.b for e in self.edges}
+        if both:
+            raise ValueError(f"site {min(both)} is the A end of one edge and the B end of another")
 
     @functools.cached_property
     def coverings(self):
@@ -103,7 +102,7 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     """Construct the 2 x m ladder.
 
     boundary: "open" or "periodic". For periodic ladders with odd m straight
-    wrap rails would join same-sublattice sites, so they cross between the
+    wrap rails would join two A or two B sites, so they cross between the
     rows instead (the twisted, Moebius closure) and every edge stays
     bipartite. `odd_wrap` names that closure; "twist" is its only value.
     """
@@ -115,14 +114,10 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     if odd_wrap != "twist":
         raise ValueError(f"odd_wrap must be 'twist', got {odd_wrap!r}")
 
-    n = 2 * m
-    sub = tuple("A" if (divmod(s, m)[0] + divmod(s, m)[1]) % 2 == 0 else "B"
-                for s in range(n))
-
     edges = []
 
     def add(u, v, kind):
-        a, b = (u, v) if sub[u] == "A" else (v, u)
+        a, b = (u, v) if sum(divmod(u, m)) % 2 == 0 else (v, u)
         edges.append(Edge(a, b, kind, len(edges)))
 
     for row in range(2):
@@ -135,15 +130,17 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     for col in range(m):
         add(0 * m + col, 1 * m + col, "step")
 
-    return Lattice(n=n, sublattice=sub, edges=tuple(edges))
+    return Lattice(n=2 * m, edges=tuple(edges))
 
 
 def enumerate_coverings(lattice):
     """All perfect matchings, as sorted tuples of (a, b), in sorted order: a
-    new list of `lattice.coverings` on each call, so no caller can change it."""
+    new list of `lattice.coverings` on each call, so no caller can change it.
+    The benchmark's reader of the coverings; the package reads the property."""
     return list(lattice.coverings)
 
 
 def count_coverings(lattice):
-    """Number of perfect matchings: the length of `lattice.coverings`."""
+    """Number of perfect matchings: the length of `lattice.coverings`. The
+    benchmark's reader of the count; the package reads the property."""
     return len(lattice.coverings)

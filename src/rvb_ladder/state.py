@@ -2,15 +2,13 @@
 
 Basis convention: bit k of a computational-basis index is the spin of site k,
 little-endian, with bit value 0 = up and 1 = down. A directed singlet on the
-pair (i, j) is (|up_i down_j> - |down_i up_j>)/sqrt(2), i the A-sublattice
-site; all amplitudes built here are real.
+pair (i, j) is (|up_i down_j> - |down_i up_j>)/sqrt(2), i the edge's A
+end; all amplitudes built here are real.
 """
 
 import math
 
 import numpy as np
-
-from .lattice import enumerate_coverings
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # largest <S^2> of a total singlet: its two-site marginals are then within
@@ -47,11 +45,11 @@ def _covering_terms(coverings):
 def rvb_state(lattice):
     """Normalized equal superposition of all dimer-covering states.
 
-    One bincount adds the entries of `enumerate_coverings(lattice)` in
-    covering order, so each amplitude is the same sum as adding the covering
-    states one by one.
+    One bincount adds the entries of `lattice.coverings` in covering order,
+    so each amplitude is the same sum as adding the covering states one by
+    one.
     """
-    coverings = enumerate_coverings(lattice)
+    coverings = lattice.coverings
     if not coverings:
         raise ValueError(f"the {lattice.n}-site lattice has no dimer covering")
     indices, amps = _covering_terms(coverings)
@@ -102,7 +100,8 @@ def require_singlet(state, spin_sq=None):
 
     `spin_sq` is the state's <S^2> if the caller has measured it already;
     else it is measured here. A measured <S^2> is a sum of non-negative
-    terms (S_z is an integer at even n), so a negative one is refused. The
+    terms (S_z is an integer at even n), so a negative `spin_sq` is refused
+    as the caller's error. The
     weight outside the singlet space is at most <S^2>/2, which SINGLET_TOL
     keeps small enough for every two-site marginal to be Werner-form within
     density.WERNER_TOL (docs/decisions.md).
@@ -113,6 +112,8 @@ def require_singlet(state, spin_sq=None):
         raise ValueError("state is not normalized")
     if spin_sq is None:
         spin_sq = total_spin_squared(psi)
+    elif spin_sq < 0.0:
+        raise ValueError(f"spin_sq = {spin_sq:.3e} is negative, so it is no measured <S^2>")
     if not 0.0 <= spin_sq <= SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
     return spin_sq

@@ -1,5 +1,6 @@
 """Full sweeps over ladder sizes, figure CSV emission, and the caption fits."""
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,7 +136,10 @@ def _write_fig5(path):
 
 
 def _output_dirs(out_dir):
-    """Create `out_dir` and its detail/ subdirectory; return both paths."""
+    """Create `out_dir` and its detail/ subdirectory; return both paths.
+    An empty path is refused: `Path("")` is the working directory."""
+    if not os.fspath(out_dir):
+        raise ValueError("output directory path is empty")
     out = Path(out_dir)
     detail = out / "detail"
     detail.mkdir(parents=True, exist_ok=True)

@@ -58,16 +58,14 @@ def square_torus(rows, cols):
     """rows x cols square lattice with both directions wrapped (both even),
     site = row*cols + col; "rail" bonds run along rows, "step" bonds along
     columns."""
-    sub = tuple("A" if (s // cols + s % cols) % 2 == 0 else "B"
-                for s in range(rows * cols))
     edges = []
     for s in range(rows * cols):
         r, c = divmod(s, cols)
         for t, kind in ((r * cols + (c + 1) % cols, "rail"),
                         (((r + 1) % rows) * cols + c, "step")):
-            a, b = (s, t) if sub[s] == "A" else (t, s)
+            a, b = (s, t) if (r + c) % 2 == 0 else (t, s)  # A iff row+col even
             edges.append(Edge(a, b, kind, len(edges)))
-    return Lattice(n=rows * cols, sublattice=sub, edges=tuple(edges))
+    return Lattice(n=rows * cols, edges=tuple(edges))
 
 
 def brute_force_coverings(n, edges):
@@ -96,13 +94,14 @@ def covering_permanent(lattice):
     so the doubled rails of the periodic m = 2 ring count twice.
     Ryser's formula sums over the 2^k column subsets S of the k x k matrix:
     perm = sum_S (-1)^(k - |S|) prod_i sum_{j in S} M_ij, exact in int64.
-    It reads only the edge list and the sublattice labels, so it holds on
-    any bipartite lattice and shares nothing with the backtracking
-    enumeration.
+    It reads only the edge list, whose `a` ends are the A sites and `b`
+    ends the B sites, so it holds on any bipartite lattice and shares
+    nothing with the backtracking enumeration. A site on no edge is in
+    neither set and leaves the lattice without a covering.
     """
-    a_sites = [s for s in range(lattice.n) if lattice.sublattice[s] == "A"]
-    b_sites = [s for s in range(lattice.n) if lattice.sublattice[s] == "B"]
-    if len(a_sites) != len(b_sites):
+    a_sites = sorted({e.a for e in lattice.edges})
+    b_sites = sorted({e.b for e in lattice.edges})
+    if len(a_sites) != len(b_sites) or len(a_sites) + len(b_sites) != lattice.n:
         return 0
     k = len(a_sites)
     row = {s: i for i, s in enumerate(a_sites)}

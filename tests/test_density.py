@@ -287,11 +287,12 @@ def test_a_nan_fails_the_singlet_precondition(ladder_state):
 
 def test_a_negative_spin_squared_fails_the_singlet_precondition(ladder_state):
     # a measured <S^2> of an even-n state is a sum of non-negative terms, so a
-    # supplied negative one is a caller's error, not a singlet
+    # supplied negative one is a caller's error, and the message names the
+    # argument, not the state
     lat, psi = ladder_state(3, "periodic")
-    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = -1.000e\\+00"):
+    with pytest.raises(ValueError, match="^spin_sq = -1.000e\\+00 is negative"):
         require_singlet(psi, -1.0)
-    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = -5.000e\\+00"):
+    with pytest.raises(ValueError, match="^spin_sq = -5.000e\\+00 is negative"):
         edge_werner_parameters(lat, psi, spin_sq=-5.0)
     assert require_singlet(psi, -0.0) == 0.0
 
@@ -375,7 +376,7 @@ def test_aggregates_of_a_rails_only_ring():
     # a 4-site ring whose bonds are all rails: no step and no degree-3 site
     edges = tuple(Edge(a, b, "rail", i)
                   for i, (a, b) in enumerate(((0, 1), (2, 1), (2, 3), (0, 3))))
-    lat = Lattice(4, ("A", "B", "A", "B"), edges)
+    lat = Lattice(4, edges)
     fits, agg = edge_werner_parameters(lat, rvb_state(lat))
     (p,) = {fit.p for fit in fits.values()}
     assert agg.p_s is None and agg.p_avg is None

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rvb_ladder import (Edge, Lattice, build_ladder, count_coverings,
-                        edge_werner_parameters, enumerate_coverings, lattice,
+from rvb_ladder import (Edge, Lattice, build_ladder, edge_werner_parameters, lattice,
                         rvb_state)
 from rvb_ladder.measures import MAX_SITES
 
@@ -23,8 +22,9 @@ def test_sites_and_sublattices():
     # site = row * m + col: the step of column 2 joins sites 2 and 6
     steps = sorted((min(e.a, e.b), max(e.a, e.b)) for e in lat.edges if e.kind == "step")
     assert steps == [(0, 4), (1, 5), (2, 6), (3, 7)]
-    # checkerboard: A iff row+col even
-    assert lat.sublattice == ("A", "B", "A", "B", "B", "A", "B", "A")
+    # checkerboard: A iff row+col even; the A sites are the edges' a ends
+    assert sorted({e.a for e in lat.edges}) == [0, 2, 5, 7]
+    assert sorted({e.b for e in lat.edges}) == [1, 3, 4, 6]
 
 
 def test_open_m2_shape():
@@ -45,7 +45,7 @@ def test_periodic_m3_has_no_same_sublattice_edge():
     lat = build_ladder(3, "periodic")
     assert lat.n == 6
     assert len(lat.edges) == 9
-    assert all(lat.sublattice[e.a] != lat.sublattice[e.b] for e in lat.edges)
+    assert not {e.a for e in lat.edges} & {e.b for e in lat.edges}
     wraps = [(e.a, e.b) for e in lat.edges if e.kind == "rail" and e.a // 3 != e.b // 3]
     assert sorted(wraps) == [(0, 5), (2, 3)]
 
@@ -58,9 +58,9 @@ def test_twist_wrap_crosses_rows_and_restores_bipartiteness():
     assert len(wraps) == 2
     for e in wraps:
         assert e.a // m != e.b // m
-    # with the twisted closure every edge joins the two sublattices
+    # with the twisted closure every edge runs from a checkerboard A site to a B site
     for e in lat.edges:
-        assert lat.sublattice[e.a] == "A" and lat.sublattice[e.b] == "B"
+        assert sum(divmod(e.a, m)) % 2 == 0 and sum(divmod(e.b, m)) % 2 == 1
 
 
 def test_twist_is_the_one_odd_wrap():
@@ -77,15 +77,16 @@ def test_periodic_m2_parallel_rails_kept_distinct():
     rails = [e for e in lat.edges if e.kind == "rail"]
     assert len(rails) == 4  # two doubled rungs of the 2-ring
     assert len({(e.a, e.b, e.index) for e in rails}) == 4
-    assert count_coverings(lat) == 5
+    assert len(lat.coverings) == 5
 
 
 def test_every_edge_is_a_first():
     for m, b in SWEEP_CONFIGS:
         lat = build_ladder(m, b)
+        # A iff row + col is even, (row, col) = divmod(site, m)
         for e in lat.edges:
-            assert lat.sublattice[e.a] == "A"
-            assert lat.sublattice[e.b] == "B"
+            assert sum(divmod(e.a, m)) % 2 == 0
+            assert sum(divmod(e.b, m)) % 2 == 1
 
 
 def test_validation_errors():
@@ -100,19 +101,20 @@ def test_validation_errors():
 
 
 def test_lattice_refuses_an_edge_that_does_not_join_a_to_b():
-    # three cases, in the order they are checked: a label per site, both
-    # ends on a site, the A end first
-    for labels, edge, match in ((("A",), Edge(0, 1, "step", 0), "labels"),
-                                (("A", "B"), Edge(0, 2, "step", 0), "outside"),
-                                (("B", "A"), Edge(0, 1, "step", 0), "A site to a B site")):
+    # three cases: an end outside the sites, a self-loop, and a site that is
+    # the A end of one edge and the B end of another (as on an odd cycle)
+    both = "site {} is the A end of one edge and the B end of another"
+    for n, edges, match in ((2, ((0, 2),), "outside the 2 sites"),
+                            (2, ((1, 1),), both.format(1)),
+                            (3, ((0, 1), (1, 2)), both.format(1))):
         with pytest.raises(ValueError, match=match):
-            Lattice(2, labels, (edge,))
+            Lattice(n, tuple(Edge(a, b, "step", i) for i, (a, b) in enumerate(edges)))
 
 
 def test_enumeration_matches_brute_force_small():
     for m, edges in ((2, oracles.M2_OPEN_EDGES), (3, oracles.M3_OPEN_EDGES)):
         lat = build_ladder(m, "open")
-        got = enumerate_coverings(lat)
+        got = list(lat.coverings)
         want = oracles.brute_force_coverings(lat.n, edges)
         assert got == want
 
@@ -120,7 +122,7 @@ def test_enumeration_matches_brute_force_small():
 def test_enumeration_matches_brute_force_all_configs():
     for m, b in oracles.SMALL_CONFIGS:
         lat = build_ladder(m, b)
-        got = enumerate_coverings(lat)
+        got = list(lat.coverings)
         want = oracles.brute_force_coverings(lat.n, [(e.a, e.b) for e in lat.edges])
         assert got == want, (m, b)
 
@@ -128,7 +130,7 @@ def test_enumeration_matches_brute_force_all_configs():
 def test_every_covering_is_a_perfect_matching():
     for m, b in oracles.SMALL_CONFIGS:
         lat = build_ladder(m, b)
-        for covering in enumerate_coverings(lat):
+        for covering in lat.coverings:
             seen = [s for pair in covering for s in pair]
             assert sorted(seen) == list(range(lat.n))
 
@@ -137,17 +139,19 @@ def test_count_matches_enumeration_everywhere():
     assert len(SWEEP_CONFIGS) == 18
     for m, b in SWEEP_CONFIGS:
         lat = build_ladder(m, b)
-        assert oracles.covering_permanent(lat) == len(enumerate_coverings(lat)), (m, b)
+        assert oracles.covering_permanent(lat) == len(lat.coverings), (m, b)
 
 
 def test_count_on_a_torus_that_is_not_a_ladder():
     # the permanent reads only the bond matrix, so it holds off the ladder
     lat = oracles.square_torus(4, 4)
-    assert oracles.covering_permanent(lat) == len(enumerate_coverings(lat)) == 272
-    # a three-site path A-B-A has unequal sublattices and no covering
-    path = Lattice(n=3, sublattice=("A", "B", "A"),
-                   edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
-    assert oracles.covering_permanent(path) == len(enumerate_coverings(path)) == 0
+    assert oracles.covering_permanent(lat) == len(lat.coverings) == 272
+    # a three-site path A-B-A has two A ends, one B end and no covering
+    path = Lattice(n=3, edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
+    assert oracles.covering_permanent(path) == len(path.coverings) == 0
+    # a site on no edge: one A end and one B end, yet no covering of three sites
+    isolated = Lattice(n=3, edges=(Edge(0, 1, "rail", 0),))
+    assert oracles.covering_permanent(isolated) == len(isolated.coverings) == 0
 
 
 def test_coverings_are_enumerated_once_per_lattice_object(monkeypatch):
@@ -160,20 +164,20 @@ def test_coverings_are_enumerated_once_per_lattice_object(monkeypatch):
 
     monkeypatch.setattr(lattice, "_matchings", counting)
     lat = build_ladder(5, "periodic")
-    # the benchmark's call order on one ladder
-    coverings = enumerate_coverings(lat)
-    assert count_coverings(lat) == len(coverings) == 13
+    # the benchmark's call order on one ladder, through its two readers
+    coverings = lattice.enumerate_coverings(lat)
+    assert lattice.count_coverings(lat) == len(coverings) == 13
     psi = rvb_state(lat)
     assert runs == [10]
     # an equal lattice built apart shares no cache with it
     twin = build_ladder(5, "periodic")
     assert twin == lat and twin is not lat
-    assert enumerate_coverings(twin) == coverings
+    assert lattice.enumerate_coverings(twin) == coverings
     assert runs == [10, 10]
     # each call returns a new list: changing one leaves the lattice's cache
     coverings.clear()
-    enumerate_coverings(lat).append(((0, 1),))
-    assert count_coverings(lat) == 13
+    lattice.enumerate_coverings(lat).append(((0, 1),))
+    assert lattice.count_coverings(lat) == 13
     assert rvb_state(lat).tobytes() == psi.tobytes()
     assert runs == [10, 10]
 
@@ -181,18 +185,18 @@ def test_coverings_are_enumerated_once_per_lattice_object(monkeypatch):
 def test_lattice_refuses_a_site_count_or_edge_end_that_is_not_an_integer():
     step = Edge(0, 1, "step", 0)
     with pytest.raises(ValueError, match="site count n=2.0 is not an integer"):
-        Lattice(2.0, ("A", "B"), (step,))
+        Lattice(2.0, (step,))
     with pytest.raises(ValueError, match="edge end a=0.0 is not an integer"):
         Edge(0.0, 1, "step", 0)
     with pytest.raises(ValueError, match="edge end b='1' is not an integer"):
         Edge(0, "1", "step", 0)
     with pytest.raises(ValueError, match="n >= 1"):
-        Lattice(0, (), ())
+        Lattice(0, ())
     # numpy integers pass, as plain ints
-    lat = Lattice(np.int64(2), ("A", "B"), (Edge(np.int64(0), np.int32(1), "step", 0),))
-    assert lat == Lattice(2, ("A", "B"), (step,))
+    lat = Lattice(np.int64(2), (Edge(np.int64(0), np.int32(1), "step", 0),))
+    assert lat == Lattice(2, (step,))
     assert type(lat.n) is int and type(lat.edges[0].a) is int
-    assert enumerate_coverings(lat) == [((0, 1),)]
+    assert lat.coverings == (((0, 1),),)
     assert rvb_state(lat).tolist() == pytest.approx([0.0, -2 ** -0.5, 2 ** -0.5, 0.0])
 
 
@@ -200,12 +204,12 @@ def test_lattice_refuses_an_edge_whose_index_is_not_its_position():
     # the index keeps parallel bonds apart as keys of the Werner fits
     step = Edge(0, 1, "step", 0)
     with pytest.raises(ValueError, match="is at position 1 of the edges"):
-        Lattice(2, ("A", "B"), (step, Edge(0, 1, "step", 0)))
+        Lattice(2, (step, Edge(0, 1, "step", 0)))
     with pytest.raises(ValueError, match="is at position 0 of the edges"):
-        Lattice(2, ("A", "B"), (Edge(0, 1, "step", 1),))
+        Lattice(2, (Edge(0, 1, "step", 1),))
     with pytest.raises(ValueError, match="edge index=0.0 is not an integer"):
         Edge(0, 1, "step", 0.0)
-    lat = Lattice(2, ("A", "B"), (step, Edge(0, 1, "step", np.int64(1))))
+    lat = Lattice(2, (step, Edge(0, 1, "step", np.int64(1))))
     assert type(lat.edges[1].index) is int
     fits, _ = edge_werner_parameters(lat, rvb_state(lat))
     assert len(fits) == 2
@@ -214,11 +218,11 @@ def test_lattice_refuses_an_edge_whose_index_is_not_its_position():
 def test_expected_covering_counts():
     for (m, b), exp in oracles.EXPECTED.items():
         lat = build_ladder(m, b)
-        assert count_coverings(lat) == exp["count"], (m, b)
+        assert len(lat.coverings) == exp["count"], (m, b)
 
 
 def test_open_counts_follow_fibonacci_recurrence():
-    counts = {m: count_coverings(build_ladder(m, "open")) for m in range(2, 8)}
+    counts = {m: len(build_ladder(m, "open").coverings) for m in range(2, 8)}
     assert counts[2] == 2 and counts[3] == 3
     for m in range(4, 8):
         assert counts[m] == counts[m - 1] + counts[m - 2]
@@ -227,8 +231,9 @@ def test_open_counts_follow_fibonacci_recurrence():
 def test_periodic_m3_site_and_edge_table():
     lat = build_ladder(3, "periodic")
     # (row, col) = divmod(site, m); A iff row + col is even
-    assert lat.sublattice[0] == "A"  # (0, 0)
-    assert lat.sublattice[4] == "A"  # (1, 1)
+    a_ends = {e.a for e in lat.edges}
+    assert 0 in a_ends  # (0, 0)
+    assert 4 in a_ends  # (1, 1)
     table = [(e.a, e.b, e.kind) for e in lat.edges]
     assert (0, 1, "rail") in table
     assert (0, 5, "rail") in table  # the twisted wrap: top right to bottom left

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvb_ladder import (Lattice, build_ladder, dump_state, edge_werner_parameters, ggm,
-                        enumerate_coverings, rvb_state, total_spin_squared)
+                        rvb_state, total_spin_squared)
 from rvb_ladder.state import _covering_terms, site_count, support_bits
 
 import oracles
@@ -63,7 +63,7 @@ def test_covering_state_order_independent():
 
 def test_covering_state_matches_oracle_products():
     lat = build_ladder(3, "open")
-    for covering in enumerate_coverings(lat):
+    for covering in lat.coverings:
         got = _covering_vector(covering, lat.n)
         want = oracles.oracle_state([covering], lat.n)
         assert np.allclose(got, want, atol=1e-12)
@@ -75,7 +75,7 @@ def test_rvb_state_matches_oracle_small():
                         (3, "periodic"), (4, "periodic")):
         lat = build_ladder(m, boundary)
         psi = rvb_state(lat)
-        want = oracles.oracle_state(enumerate_coverings(lat), lat.n)
+        want = oracles.oracle_state(lat.coverings, lat.n)
         assert np.allclose(psi, want, atol=1e-10), (m, boundary)
 
 
@@ -83,7 +83,7 @@ def test_rvb_state_matches_oracle_twist():
     # the closure named positionally, as the benchmark builds its ladders
     lat = build_ladder(3, "periodic", "twist")
     psi = rvb_state(lat)
-    want = oracles.oracle_state(enumerate_coverings(lat), lat.n)
+    want = oracles.oracle_state(lat.coverings, lat.n)
     assert np.allclose(psi, want, atol=1e-10)
 
 
@@ -112,7 +112,7 @@ def test_total_spin_squared_detects_non_singlets():
 
 def test_rvb_state_errors_when_no_covering():
     # an edgeless lattice: the covering sum is empty and must be rejected
-    no_dimers = Lattice(n=6, sublattice=("A", "B", "A", "B", "A", "B"), edges=())
+    no_dimers = Lattice(n=6, edges=())
     with pytest.raises(ValueError, match="no dimer covering"):
         rvb_state(no_dimers)
 
@@ -178,13 +178,13 @@ def test_dump_state_rejects_complex_input(tmp_path):
 @pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
 def test_rvb_state_bit_identical_to_loop_sum(m, boundary, closure):
     lat = build_ladder(*oracles.ladder_key(m, boundary, closure))
-    want = oracles.loop_rvb_state(enumerate_coverings(lat), lat.n)
+    want = oracles.loop_rvb_state(lat.coverings, lat.n)
     assert rvb_state(lat).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m, boundary, closure", oracles.with_closures(oracles.CONFIGS))
 def test_covering_terms_batch_is_per_covering_concatenation(m, boundary, closure):
-    coverings = enumerate_coverings(build_ladder(*oracles.ladder_key(m, boundary, closure)))
+    coverings = build_ladder(*oracles.ladder_key(m, boundary, closure)).coverings
     indices, amps = _covering_terms(coverings)
     one_by_one = [_covering_terms([cov]) for cov in coverings]
     assert np.array_equal(indices, np.concatenate([i for i, _ in one_by_one]))

@@ -545,16 +545,15 @@ def test_twenty_site_ladder_runs():
 
 
 def test_run_size_enumerates_the_coverings_once(monkeypatch):
-    real = sweep.lattice.enumerate_coverings
+    real = sweep.lattice._matchings
     calls = []
 
-    def counting(lat):
-        calls.append(lat.n)
-        return real(lat)
+    def counting(n, edges):
+        calls.append(n)
+        return real(n, edges)
 
-    # every module that holds the function looks it up in its own namespace
-    monkeypatch.setattr(sweep.lattice, "enumerate_coverings", counting)
-    monkeypatch.setattr(sweep.state, "enumerate_coverings", counting)
+    # the one backtracking, behind the cached `Lattice.coverings`
+    monkeypatch.setattr(sweep.lattice, "_matchings", counting)
     row = sweep._run_size(5, sweep.lattice.build_ladder(5, "periodic"))
     assert calls == [10]
     assert len(row.lattice.coverings) == 13
@@ -677,6 +676,23 @@ def test_cli_rejects_an_unusable_out_dir_before_any_size(tmp_path, monkeypatch, 
     assert ran == []
 
 
+def test_an_empty_out_path_is_refused_before_anything_is_written(tmp_path, monkeypatch,
+                                                                   capsys):
+    # Path("") is the working directory, where the CSVs would land
+    monkeypatch.chdir(tmp_path)
+    report = run_sweep(RunConfig(sizes=(3,)))
+    with pytest.raises(ValueError, match="output directory path is empty"):
+        sweep.emit_csv(report, "")
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
+    with pytest.raises(ValueError, match="output directory path is empty"):
+        run_sweep(RunConfig(sizes=(3,), out_dir=""))
+    assert cli.main(["sweep", "--sizes", "3", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: output directory path is empty\n")
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_sweep_success(tmp_path, capsys):
     code = cli.main(["sweep", "--sizes", "3,4", "--out", str(tmp_path / "o")])
     assert code == 0
@@ -705,6 +721,18 @@ def test_cli_sizes_are_ascii_digits(tmp_path, capsys):
         assert "bad size list" in capsys.readouterr().err
         assert not out.exists()
     assert cli._parse_sizes(" 3, 4 ,,10") == (3, 4, 10)
+
+
+def test_cli_refuses_a_size_of_more_digits_than_int_reads(tmp_path, capsys):
+    # int() raises ValueError above 4300 digits, the interpreter's default limit;
+    # argparse would report it as "invalid _parse_sizes value"
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--sizes", "3," + "9" * 4301, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad size list" in err and "invalid" not in err
+    assert not out.exists()
 
 
 def test_cli_table_prints_each_ladders_covering_count(tmp_path, capsys):
