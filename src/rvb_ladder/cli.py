@@ -11,16 +11,19 @@ def _parse_sizes(text):
     # ASCII digits only: int() would also read "1_0" as 10, and other scripts'
     # digits; it raises ValueError on more than sys.get_int_max_str_digits()
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    try:
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise ValueError
-        sizes = tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad size list {text!r}; expected e.g. 3,4,5,6") from None
+    sizes = []
+    for tok in tokens:
+        try:
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError
+            sizes.append(int(tok))
+        except ValueError:
+            shown = tok if len(tok) <= 20 else tok[:20] + "\u2026"
+            raise argparse.ArgumentTypeError(
+                f"bad size list: {shown!r} is not a size; expected e.g. 3,4,5,6") from None
     if not sizes:
         raise argparse.ArgumentTypeError("size list is empty")
-    return sizes
+    return tuple(sizes)
 
 
 def build_parser():

@@ -30,7 +30,7 @@ class EdgeAggregates:
     p_avg: object  # float, or None when no site has degree 3
 
 
-def edge_werner_parameters(lattice, state, spin_sq=None):
+def edge_werner_parameters(lattice, state):
     """Werner fit for every edge.
 
     Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
@@ -41,17 +41,21 @@ def edge_werner_parameters(lattice, state, spin_sq=None):
     ulp of the exact mean, and None when empty: no rail, no step, or no
     degree-3 site (the open m = 2 ladder, all degree-2 corners).
 
-    The state must pass `require_singlet`, with `spin_sq` its <S^2> if the
-    caller has measured it. Then every marginal is within WERNER_TOL of the
-    Werner state at p = -<sigma^z_a sigma^z_b>, and one product of the
-    support's signs s = 1 - 2 bits (`support_bits`) and weights w = |psi|^2
-    gives every pair's correlation at once: zz = (s w) s^T.
+    The state must pass `require_singlet`. Then every marginal is within
+    WERNER_TOL of the Werner state at p = -<sigma^z_a sigma^z_b>.
     """
     psi = np.asarray(state)
     if psi.size != 1 << lattice.n:
         raise ValueError(f"state has {psi.size} amplitudes, the {lattice.n}-site lattice "
                          f"needs {1 << lattice.n}")
-    require_singlet(psi, spin_sq)
+    require_singlet(psi)
+    return _werner_fits(lattice, psi)
+
+
+def _werner_fits(lattice, psi):
+    """`edge_werner_parameters` after its checks. One product of the support's
+    signs s = 1 - 2 bits (`support_bits`) and weights w = |psi|^2 gives every
+    pair's correlation at once: zz = (s w) s^T."""
     _, amps, bits = support_bits(psi)
     signs = 1.0 - 2.0 * bits
     zz = (signs * (amps * amps.conj()).real) @ signs.T

@@ -92,28 +92,19 @@ def total_spin_squared(state):
     return float(np.vdot(raised, raised).real) + float(weight @ (sz * (sz + 1.0)))
 
 
-def require_singlet(state, spin_sq=None):
+def require_singlet(state):
     """<S^2> of a normalized total singlet, the precondition of `ggm` and of
     the Werner fits; ValueError for a length other than 2^n, a norm more
     than 1e-10 from 1, or <S^2> outside [0, SINGLET_TOL]; a NaN fails both
-    bounds.
-
-    `spin_sq` is the state's <S^2> if the caller has measured it already;
-    else it is measured here. A measured <S^2> is a sum of non-negative
-    terms (S_z is an integer at even n), so a negative `spin_sq` is refused
-    as the caller's error. The
-    weight outside the singlet space is at most <S^2>/2, which SINGLET_TOL
-    keeps small enough for every two-site marginal to be Werner-form within
-    density.WERNER_TOL (docs/decisions.md).
+    bounds. The weight outside the singlet space is at most <S^2>/2, which
+    SINGLET_TOL keeps small enough for every two-site marginal to be
+    Werner-form within density.WERNER_TOL (docs/decisions.md).
     """
     psi = np.asarray(state)
     site_count(psi)
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("state is not normalized")
-    if spin_sq is None:
-        spin_sq = total_spin_squared(psi)
-    elif spin_sq < 0.0:
-        raise ValueError(f"spin_sq = {spin_sq:.3e} is negative, so it is no measured <S^2>")
+    spin_sq = total_spin_squared(psi)
     if not 0.0 <= spin_sq <= SINGLET_TOL:
         raise ValueError(f"state is not a total singlet: S^2 = {spin_sq:.3e}")
     return spin_sq

@@ -38,11 +38,9 @@ class EntanglementReport:
 
 def _run_size(m, lat):
     psi = state.rvb_state(lat)
-    # ggm refuses a state that is not a total singlet and reports its S^2,
-    # which the Werner fits take instead of measuring it again
+    # ggm refuses a state that is not a total singlet, so the fits skip that check
     gg = measures.ggm(psi)
-
-    fits, agg = density.edge_werner_parameters(lat, psi, spin_sq=gg.total_spin_sq)
+    fits, agg = density._werner_fits(lat, psi)
     mono = measures.monogamy_check(agg.p_r, agg.p_s)
     clone = measures.cloning_theta_sets(agg.p_r, agg.p_s)
     return SizeRow(m=m, n=lat.n, fits=fits, aggregates=agg, monogamy=mono, cloning=clone,
@@ -53,15 +51,15 @@ def run_sweep(config):
     """Per-size pipeline with continue-on-failure isolation, then fits and CSVs."""
     if not config.sizes:
         raise ValueError("no sizes configured")
-    if len(set(config.sizes)) != len(config.sizes):
-        raise ValueError(f"repeated size in {config.sizes}; each size runs once")
     # the site limit is checked before any ladder is built, so an oversized
     # size fails at once; build_ladder owns the checks on m >= 2 and boundary
-    for m in config.sizes:
-        n = 2 * lattice._integer(m, "size m")
-        if n > measures.MAX_SITES:
-            raise ValueError(f"size m={m} has {n} sites, above the limit "
+    sizes = [lattice._integer(m, "size m") for m in config.sizes]
+    for m in sizes:
+        if 2 * m > measures.MAX_SITES:
+            raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"repeated size in {config.sizes}; each size runs once")
     ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs

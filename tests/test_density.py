@@ -2,6 +2,7 @@
 singlet precondition they share with `ggm`, edge averages."""
 
 import functools
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -263,15 +264,6 @@ def test_edge_werner_parameters_refuse_a_non_singlet(case):
             call()
 
 
-def test_edge_werner_parameters_take_a_measured_spin_squared(ladder_state):
-    # the sweep passes ggm's <S^2>; the value is checked, not measured again
-    lat, psi = ladder_state(4, "periodic")
-    fits, _ = edge_werner_parameters(lat, psi)
-    assert edge_werner_parameters(lat, psi, spin_sq=0.0)[0] == fits
-    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = 1.000e-16"):
-        edge_werner_parameters(lat, psi, spin_sq=1e-16)
-
-
 def test_a_nan_fails_the_singlet_precondition(ladder_state):
     # NaN fails every comparison, so `norm - 1 > tol` let a NaN state through:
     # ggm returned a value with total_spin_sq = nan and the fits NaN averages
@@ -281,20 +273,12 @@ def test_a_nan_fails_the_singlet_precondition(ladder_state):
     for call in (lambda: edge_werner_parameters(lat, bad), lambda: ggm(bad)):
         with pytest.raises(ValueError, match="state is not normalized"):
             call()
-    with pytest.raises(ValueError, match="not a total singlet: S\\^2 = nan"):
-        edge_werner_parameters(lat, psi, spin_sq=float("nan"))
 
 
-def test_a_negative_spin_squared_fails_the_singlet_precondition(ladder_state):
-    # a measured <S^2> of an even-n state is a sum of non-negative terms, so a
-    # supplied negative one is a caller's error, and the message names the
-    # argument, not the state
-    lat, psi = ladder_state(3, "periodic")
-    with pytest.raises(ValueError, match="^spin_sq = -1.000e\\+00 is negative"):
-        require_singlet(psi, -1.0)
-    with pytest.raises(ValueError, match="^spin_sq = -5.000e\\+00 is negative"):
-        edge_werner_parameters(lat, psi, spin_sq=-5.0)
-    assert require_singlet(psi, -0.0) == 0.0
+def test_no_argument_waives_the_singlet_precondition():
+    # each public reader measures <S^2> itself; a caller's value cannot stand in
+    assert list(inspect.signature(require_singlet).parameters) == ["state"]
+    assert list(inspect.signature(edge_werner_parameters).parameters) == ["lattice", "state"]
 
 
 def test_edge_werner_parameters_refuse_a_state_of_another_lattice():

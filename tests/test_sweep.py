@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rvb_ladder
-from rvb_ladder import EntanglementReport, RunConfig, build_ladder, run_sweep
+from rvb_ladder import (EntanglementReport, RunConfig, build_ladder, edge_werner_parameters,
+                        run_sweep)
 from rvb_ladder import cli, measures, state, sweep
 
 import oracles
@@ -600,6 +601,15 @@ def test_ggm_csv_counts_the_torus_step_bonds_inside_the_ggm_side(tmp_path):
     assert line.split(",")[3:] == ["0xff", "4"]
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_the_sweep_fits_equal_the_public_fits(boundary):
+    # the sweep calls the fits' core after ggm's singlet check
+    for m in range(2, 9):
+        lat = build_ladder(m, boundary)
+        row = sweep._run_size(m, lat)
+        assert (row.fits, row.aggregates) == edge_werner_parameters(lat, row.state), m
+
+
 def test_singlet_invariant_aborts_size(monkeypatch):
     monkeypatch.setattr(sweep.state, "total_spin_squared", lambda psi: 1.0)
     report = run_sweep(RunConfig(sizes=(3,), out_dir=None))
@@ -650,6 +660,17 @@ def test_run_sweep_rejects_repeated_sizes(tmp_path, monkeypatch):
         run_sweep(RunConfig(sizes=(3, 3, 4, 5), out_dir=out))
     assert ran == []  # rejected with the other checks, before any size runs
     assert not out.exists()
+
+
+def test_run_sweep_checks_sizes_are_integers_before_it_checks_repeats(monkeypatch):
+    # a list is unhashable and 3.0 equals 3, so only coerced ints are
+    # checked for repeats
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
+    for sizes, shown in ((([3],), "\\[3\\]"), ((3, 3.0), "3.0")):
+        with pytest.raises(ValueError, match=f"^size m={shown} is not an integer$"):
+            run_sweep(RunConfig(sizes=sizes))
+    assert ran == []
 
 
 def _unusable_out_dirs(tmp_path):
@@ -733,6 +754,20 @@ def test_cli_refuses_a_size_of_more_digits_than_int_reads(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad size list" in err and "invalid" not in err
     assert not out.exists()
+
+
+def test_cli_names_the_first_bad_size_cut_to_20_characters(tmp_path, capsys):
+    # a size list may be thousands of characters; the error names one token, cut short
+    for bad in ("9" * 299 + "x", "9" * 4301):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--sizes", f"3,{bad},y", "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --sizes: bad size list: "
+                            "'99999999999999999999\u2026' is not a size; expected e.g. 3,4,5,6\n")
+        assert len(err) < 300
+        assert not out.exists()
 
 
 def test_cli_table_prints_each_ladders_covering_count(tmp_path, capsys):
