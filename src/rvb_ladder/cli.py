@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .lattice import BOUNDARIES
-from .sweep import RunConfig, run_sweep
+from .sweep import RunConfig, _shorten, run_sweep
 
 
 def _parse_sizes(text):
@@ -18,9 +18,8 @@ def _parse_sizes(text):
                 raise ValueError
             sizes.append(int(tok))
         except ValueError:
-            shown = tok if len(tok) <= 20 else tok[:20] + "\u2026"
-            raise argparse.ArgumentTypeError(
-                f"bad size list: {shown!r} is not a size; expected e.g. 3,4,5,6") from None
+            raise argparse.ArgumentTypeError(f"bad size list: {_shorten(tok)!r} is not a size; "
+                                             "expected e.g. 3,4,5,6") from None
     if not sizes:
         raise argparse.ArgumentTypeError("size list is empty")
     return tuple(sizes)

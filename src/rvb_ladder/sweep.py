@@ -1,6 +1,7 @@
 """Full sweeps over ladder sizes, figure CSV emission, and the caption fits."""
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +48,13 @@ def _run_size(m, lat):
                    ggm=gg, lattice=lat, state=psi)
 
 
+def _shorten(value):
+    """`str(value)` cut to 20 characters and an ellipsis: an error names input of
+    any length."""
+    text = str(value)
+    return text if len(text) <= 20 else text[:20] + "\u2026"
+
+
 def run_sweep(config):
     """Per-size pipeline with continue-on-failure isolation, then fits and CSVs."""
     if not config.sizes:
@@ -56,10 +64,11 @@ def run_sweep(config):
     sizes = [lattice._integer(m, "size m") for m in config.sizes]
     for m in sizes:
         if 2 * m > measures.MAX_SITES:
-            raise ValueError(f"size m={m} has {2 * m} sites, above the limit "
+            raise ValueError(f"size m={_shorten(m)} has 2m sites, above the limit "
                              f"N <= {measures.MAX_SITES}")
-    if len(set(sizes)) != len(sizes):
-        raise ValueError(f"repeated size in {config.sizes}; each size runs once")
+    repeated = [m for m, count in Counter(sizes).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated size m={_shorten(repeated[0])}; each size runs once")
     ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs

@@ -770,6 +770,19 @@ def test_cli_names_the_first_bad_size_cut_to_20_characters(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_size_refusals_name_one_size_cut_to_20_characters(tmp_path, capsys):
+    # both lists parse as sizes; run_sweep refuses them and names the one
+    # offending size, shortened as a bad token is
+    cut = "9" * 20 + "\u2026"
+    for sizes, want in (
+            ("3," + "9" * 300, f"error: size m={cut} has 2m sites, above the limit N <= 20\n"),
+            (",".join(["3"] * 5000), "error: repeated size m=3; each size runs once\n")):
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--sizes", sizes, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", want)
+        assert not out.exists()
+
+
 def test_cli_table_prints_each_ladders_covering_count(tmp_path, capsys):
     # bench/workloads.py parses this column
     for boundary in ("periodic", "open"):
