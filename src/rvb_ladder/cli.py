@@ -3,8 +3,8 @@
 import argparse
 import sys
 
-from .lattice import BOUNDARIES
-from .sweep import RunConfig, _shorten, run_sweep
+from .lattice import BOUNDARIES, _shorten
+from .sweep import RunConfig, run_sweep
 
 
 def _parse_sizes(text):

@@ -31,9 +31,11 @@ class EdgeAggregates:
 
 
 def edge_werner_parameters(lattice, state):
-    """Werner fit for every edge.
+    """Werner fit for every distinct bond.
 
-    Returns (fits, aggregates): fits maps Edge -> WernerFit; the aggregates are
+    Returns (fits, aggregates): fits maps Edge -> WernerFit. Parallel bonds
+    (the doubled rails of the periodic m = 2 ring) are equal edges and share
+    one key, as they share one marginal. The aggregates walk every edge:
     p_r = mean over rails, p_s = mean over steps, and the
     regional p_avg = mean over degree-3 sites of the mean p of each one's
     three edges, i.e. of every edge's p once per degree-3 end. Each mean is

@@ -1,7 +1,7 @@
 """Bipartite lattices and their nearest-neighbor dimer coverings.
 
-A `Lattice` is n sites and an edge list. Each edge stores its A end first
-and carries its position in the list as its index; the A sites are the
+A `Lattice` is n sites and an edge list. An edge is its A end, its B end
+and its kind, so two parallel bonds are equal edges; the A sites are the
 edges' `a` ends and the B sites their `b` ends, and `Lattice` refuses a
 site that is both. The enumeration, the count and the states read nothing
 else. `build_ladder` is the ladder constructor: sites of a 2 x m ladder
@@ -24,12 +24,10 @@ class Edge:
     a: int
     b: int
     kind: str  # "rail" or "step"
-    index: int  # position in Lattice.edges (keeps parallel edges distinct)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _integer(self.a, "edge end a"))
         object.__setattr__(self, "b", _integer(self.b, "edge end b"))
-        object.__setattr__(self, "index", _integer(self.index, "edge index"))
 
 
 def _integer(value, name):
@@ -37,7 +35,21 @@ def _integer(value, name):
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name}={value!r} is not an integer") from None
+        raise ValueError(f"{name}={_shorten(repr(value))} is not an integer") from None
+
+
+def _shorten(value):
+    """`str(value)` cut to 20 characters and an ellipsis: an error names input of
+    any length. A long int is cut from its leading digits, `value // 10**drop`,
+    since `str` refuses an int past `sys.get_int_max_str_digits()` digits."""
+    if isinstance(value, int) and value.bit_length() > 64:  # 20 digits or more
+        # (bit_length - 1) * log10(2) rounded down, less a margin, stays below
+        # the digit count, so the head keeps more than the 20 characters shown
+        drop = max(0, int((value.bit_length() - 1) * 0.30102) - 20)
+        text = ("-" if value < 0 else "") + str(abs(value) // 10 ** drop)
+    else:
+        text = str(value)
+    return text if len(text) <= 20 else text[:20] + "\u2026"
 
 
 @dataclass(frozen=True)
@@ -51,10 +63,8 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "site count n"))
         if self.n < 1:
-            raise ValueError(f"need n >= 1 sites, got {self.n}")
-        for i, e in enumerate(self.edges):
-            if e.index != i:
-                raise ValueError(f"{e} is at position {i} of the edges, not at its index")
+            raise ValueError(f"need n >= 1 sites, got {_shorten(self.n)}")
+        for e in self.edges:
             if not (0 <= e.a < self.n and 0 <= e.b < self.n):
                 raise ValueError(f"{e} has an end outside the {self.n} sites")
         # one rule refuses self-loops and odd cycles too: both need such a site
@@ -108,17 +118,17 @@ def build_ladder(m, boundary="periodic", odd_wrap="twist"):
     """
     m = _integer(m, "ladder size m")
     if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+        raise ValueError(f"need m >= 2, got {_shorten(m)}")
     if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {_shorten(repr(boundary))}")
     if odd_wrap != "twist":
-        raise ValueError(f"odd_wrap must be 'twist', got {odd_wrap!r}")
+        raise ValueError(f"odd_wrap must be 'twist', got {_shorten(repr(odd_wrap))}")
 
     edges = []
 
     def add(u, v, kind):
         a, b = (u, v) if sum(divmod(u, m)) % 2 == 0 else (v, u)
-        edges.append(Edge(a, b, kind, len(edges)))
+        edges.append(Edge(a, b, kind))
 
     for row in range(2):
         for col in range(m - 1):

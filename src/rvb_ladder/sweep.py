@@ -20,7 +20,7 @@ class RunConfig:
 class SizeRow:
     m: int
     n: int
-    fits: dict  # Edge -> WernerFit
+    fits: dict  # Edge -> WernerFit, one key per distinct bond
     aggregates: density.EdgeAggregates
     monogamy: measures.MonogamyRecord
     cloning: measures.CloningBoundRecord
@@ -48,13 +48,6 @@ def _run_size(m, lat):
                    ggm=gg, lattice=lat, state=psi)
 
 
-def _shorten(value):
-    """`str(value)` cut to 20 characters and an ellipsis: an error names input of
-    any length."""
-    text = str(value)
-    return text if len(text) <= 20 else text[:20] + "\u2026"
-
-
 def run_sweep(config):
     """Per-size pipeline with continue-on-failure isolation, then fits and CSVs."""
     if not config.sizes:
@@ -64,11 +57,12 @@ def run_sweep(config):
     sizes = [lattice._integer(m, "size m") for m in config.sizes]
     for m in sizes:
         if 2 * m > measures.MAX_SITES:
-            raise ValueError(f"size m={_shorten(m)} has 2m sites, above the limit "
-                             f"N <= {measures.MAX_SITES}")
+            raise ValueError(f"size m={lattice._shorten(m)} has 2m sites, above the "
+                             f"limit N <= {measures.MAX_SITES}")
     repeated = [m for m, count in Counter(sizes).items() if count > 1]
     if repeated:
-        raise ValueError(f"repeated size m={_shorten(repeated[0])}; each size runs once")
+        raise ValueError(f"repeated size m={lattice._shorten(repeated[0])}; "
+                         "each size runs once")
     ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs

@@ -64,7 +64,7 @@ def square_torus(rows, cols):
         for t, kind in ((r * cols + (c + 1) % cols, "rail"),
                         (((r + 1) % rows) * cols + c, "step")):
             a, b = (s, t) if (r + c) % 2 == 0 else (t, s)  # A iff row+col even
-            edges.append(Edge(a, b, kind, len(edges)))
+            edges.append(Edge(a, b, kind))
     return Lattice(n=rows * cols, edges=tuple(edges))
 
 

@@ -358,8 +358,7 @@ def test_aggregates_of_an_edge_transitive_ladder_equal_its_edge_p(ladder_state):
 
 def test_aggregates_of_a_rails_only_ring():
     # a 4-site ring whose bonds are all rails: no step and no degree-3 site
-    edges = tuple(Edge(a, b, "rail", i)
-                  for i, (a, b) in enumerate(((0, 1), (2, 1), (2, 3), (0, 3))))
+    edges = tuple(Edge(a, b, "rail") for a, b in ((0, 1), (2, 1), (2, 3), (0, 3)))
     lat = Lattice(4, edges)
     fits, agg = edge_werner_parameters(lat, rvb_state(lat))
     (p,) = {fit.p for fit in fits.values()}

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rvb_ladder import (Edge, Lattice, build_ladder, edge_werner_parameters, lattice,
-                        rvb_state)
+from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, edge_werner_parameters,
+                        lattice, run_sweep, rvb_state)
 from rvb_ladder.measures import MAX_SITES
 
 import oracles
@@ -76,7 +76,6 @@ def test_periodic_m2_parallel_rails_kept_distinct():
     lat = build_ladder(2, "periodic")
     rails = [e for e in lat.edges if e.kind == "rail"]
     assert len(rails) == 4  # two doubled rungs of the 2-ring
-    assert len({(e.a, e.b, e.index) for e in rails}) == 4
     assert len(lat.coverings) == 5
 
 
@@ -108,7 +107,7 @@ def test_lattice_refuses_an_edge_that_does_not_join_a_to_b():
                             (2, ((1, 1),), both.format(1)),
                             (3, ((0, 1), (1, 2)), both.format(1))):
         with pytest.raises(ValueError, match=match):
-            Lattice(n, tuple(Edge(a, b, "step", i) for i, (a, b) in enumerate(edges)))
+            Lattice(n, tuple(Edge(a, b, "step") for a, b in edges))
 
 
 def test_enumeration_matches_brute_force_small():
@@ -147,10 +146,10 @@ def test_count_on_a_torus_that_is_not_a_ladder():
     lat = oracles.square_torus(4, 4)
     assert oracles.covering_permanent(lat) == len(lat.coverings) == 272
     # a three-site path A-B-A has two A ends, one B end and no covering
-    path = Lattice(n=3, edges=(Edge(0, 1, "rail", 0), Edge(2, 1, "rail", 1)))
+    path = Lattice(n=3, edges=(Edge(0, 1, "rail"), Edge(2, 1, "rail")))
     assert oracles.covering_permanent(path) == len(path.coverings) == 0
     # a site on no edge: one A end and one B end, yet no covering of three sites
-    isolated = Lattice(n=3, edges=(Edge(0, 1, "rail", 0),))
+    isolated = Lattice(n=3, edges=(Edge(0, 1, "rail"),))
     assert oracles.covering_permanent(isolated) == len(isolated.coverings) == 0
 
 
@@ -183,36 +182,44 @@ def test_coverings_are_enumerated_once_per_lattice_object(monkeypatch):
 
 
 def test_lattice_refuses_a_site_count_or_edge_end_that_is_not_an_integer():
-    step = Edge(0, 1, "step", 0)
+    step = Edge(0, 1, "step")
     with pytest.raises(ValueError, match="site count n=2.0 is not an integer"):
         Lattice(2.0, (step,))
     with pytest.raises(ValueError, match="edge end a=0.0 is not an integer"):
-        Edge(0.0, 1, "step", 0)
+        Edge(0.0, 1, "step")
     with pytest.raises(ValueError, match="edge end b='1' is not an integer"):
-        Edge(0, "1", "step", 0)
+        Edge(0, "1", "step")
     with pytest.raises(ValueError, match="n >= 1"):
         Lattice(0, ())
     # numpy integers pass, as plain ints
-    lat = Lattice(np.int64(2), (Edge(np.int64(0), np.int32(1), "step", 0),))
+    lat = Lattice(np.int64(2), (Edge(np.int64(0), np.int32(1), "step"),))
     assert lat == Lattice(2, (step,))
     assert type(lat.n) is int and type(lat.edges[0].a) is int
     assert lat.coverings == (((0, 1),),)
     assert rvb_state(lat).tolist() == pytest.approx([0.0, -2 ** -0.5, 2 ** -0.5, 0.0])
 
 
-def test_lattice_refuses_an_edge_whose_index_is_not_its_position():
-    # the index keeps parallel bonds apart as keys of the Werner fits
-    step = Edge(0, 1, "step", 0)
-    with pytest.raises(ValueError, match="is at position 1 of the edges"):
-        Lattice(2, (step, Edge(0, 1, "step", 0)))
-    with pytest.raises(ValueError, match="is at position 0 of the edges"):
-        Lattice(2, (Edge(0, 1, "step", 1),))
-    with pytest.raises(ValueError, match="edge index=0.0 is not an integer"):
-        Edge(0, 1, "step", 0.0)
-    lat = Lattice(2, (step, Edge(0, 1, "step", np.int64(1))))
-    assert type(lat.edges[1].index) is int
+def test_periodic_m2_doubled_rails_share_one_fit(tmp_path):
+    # each doubled rail of the 2-ring is one edge value twice: one marginal,
+    # so one key of the fits, while the edge table walks all six edges
+    report = run_sweep(RunConfig(sizes=(2,), out_dir=tmp_path))
+    (row,) = report.rows
+    lat = row.lattice
+    assert len(lat.edges) == 6 and len(lat.coverings) == 5
     fits, _ = edge_werner_parameters(lat, rvb_state(lat))
-    assert len(fits) == 2
+    assert len(fits) == 4 and fits == row.fits
+    rails = [e for e in lat.edges if e.kind == "rail"]
+    assert len(rails) == 4 and len(set(rails)) == 2
+    header, *lines = (tmp_path / "detail" / "edges.csv").read_text().splitlines()
+    assert header == "n,m,boundary,edge_a,edge_b,kind,p" and len(lines) == 6
+    ps = collections.defaultdict(list)
+    for line in lines:
+        _, _, _, a, b, kind, p = line.split(",")
+        ps[Edge(int(a), int(b), kind)].append(p)
+    # one row per edge: each doubled rail twice, with its one fit's p
+    assert sorted(len(v) for v in ps.values()) == [1, 1, 2, 2]
+    assert {e: set(v) for e, v in ps.items()} == {e: {format(f.p, ".12g")}
+                                                   for e, f in fits.items()}
 
 
 def test_expected_covering_counts():

@@ -783,6 +783,34 @@ def test_cli_size_refusals_name_one_size_cut_to_20_characters(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_refusals_name_a_value_of_any_length_cut_to_20_characters(monkeypatch):
+    # a size past Python's 4300-digit int-to-text limit is cut from its
+    # leading digits; a long list or string from its repr
+    ran = []
+    monkeypatch.setattr(sweep, "_run_size", lambda m, lat: ran.append(m))
+    big = 10 ** 5000
+    cut, neg = "1" + "0" * 19 + "\u2026", "-1" + "0" * 18 + "\u2026"
+    threes = "[3, 3, 3, 3, 3, 3, 3\u2026"
+    for call, want in (
+            (lambda: run_sweep(RunConfig(sizes=(3, big))),
+             f"size m={cut} has 2m sites, above the limit N <= 20"),
+            (lambda: run_sweep(RunConfig(sizes=(-big, 3, -big))),
+             f"repeated size m={neg}; each size runs once"),
+            (lambda: run_sweep(RunConfig(sizes=(-big,))), f"need m >= 2, got {neg}"),
+            (lambda: run_sweep(RunConfig(sizes=([3] * 1000,))),
+             f"size m={threes} is not an integer"),
+            (lambda: build_ladder([3] * 1000), f"ladder size m={threes} is not an integer"),
+            (lambda: build_ladder(3, "x" * 5000),
+             "boundary must be one of ('open', 'periodic'), got '" + "x" * 19 + "\u2026"),
+            (lambda: build_ladder(3, "open", "x" * 5000),
+             "odd_wrap must be 'twist', got '" + "x" * 19 + "\u2026"),
+            (lambda: rvb_ladder.Lattice(-big, ()), f"need n >= 1 sites, got {neg}")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
+    assert ran == []
+
+
 def test_cli_table_prints_each_ladders_covering_count(tmp_path, capsys):
     # bench/workloads.py parses this column
     for boundary in ("periodic", "open"):
