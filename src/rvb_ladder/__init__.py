@@ -9,7 +9,7 @@ entanglement.  `run_sweep` / the `rvb-ladder` CLI tie the pieces together and
 emit one CSV per published figure.
 """
 
-from .density import EdgeAggregates, WernerFit, edge_werner_parameters
+from .density import EdgeAggregates, edge_werner_parameters
 from .lattice import Edge, Lattice, build_ladder
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
                        cloning_theta_sets, ggm, monogamy_check,
@@ -22,8 +22,7 @@ __all__ = [
     "Edge", "Lattice", "build_ladder",
     "rvb_state", "total_spin_squared",
     "dump_state",
-    "WernerFit", "EdgeAggregates",
-    "edge_werner_parameters",
+    "EdgeAggregates", "edge_werner_parameters",
     "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",
     "monogamy_surface_sample", "CloningBoundRecord", "cloning_theta_sets",

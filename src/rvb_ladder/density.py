@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _shorten
 from .state import require_singlet, support_bits
-
-WERNER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class WernerFit:
     p: float
-    werner_ok: bool  # always True: `require_singlet` keeps it within WERNER_TOL of Werner form
+    werner_ok = True  # not a field: `require_singlet` guarantees it; only bench/workloads.py
+    # reads it, and ROADMAP item 2 deletes it together with that benchmark change
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,12 @@ def edge_werner_parameters(lattice, state):
     degree-3 site (the open m = 2 ladder, all degree-2 corners).
 
     The state must pass `require_singlet`. Then every marginal is within
-    WERNER_TOL of the Werner state at p = -<sigma^z_a sigma^z_b>.
+    state.WERNER_TOL of the Werner state at p = -<sigma^z_a sigma^z_b>.
     """
     psi = np.asarray(state)
-    if psi.size != 1 << lattice.n:
-        raise ValueError(f"state has {psi.size} amplitudes, the {lattice.n}-site lattice "
-                         f"needs {1 << lattice.n}")
+    if lattice.n > 62 or psi.size != 1 << lattice.n:  # no array has 2^63 entries
+        n = _shorten(lattice.n)
+        raise ValueError(f"state has {psi.size} amplitudes, the {n}-site lattice needs 2^{n}")
     require_singlet(psi)
     return _werner_fits(lattice, psi)
 
@@ -63,7 +63,7 @@ def _werner_fits(lattice, psi):
     zz = (signs * (amps * amps.conj()).real) @ signs.T
     edges = lattice.edges
     p = (-zz[[e.a for e in edges], [e.b for e in edges]]).tolist()
-    fits = {e: WernerFit(p=pe, werner_ok=True) for e, pe in zip(edges, p)}
+    fits = {e: WernerFit(p=pe) for e, pe in zip(edges, p)}
 
     def mean(ps):
         return math.fsum(ps) / len(ps) if ps else None

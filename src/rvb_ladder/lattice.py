@@ -64,9 +64,9 @@ class Lattice:
         object.__setattr__(self, "n", _integer(self.n, "site count n"))
         if self.n < 1:
             raise ValueError(f"need n >= 1 sites, got {_shorten(self.n)}")
-        for e in self.edges:
-            if not (0 <= e.a < self.n and 0 <= e.b < self.n):
-                raise ValueError(f"{e} has an end outside the {self.n} sites")
+        out = [end for e in self.edges for end in (e.a, e.b) if not 0 <= end < self.n]
+        if out:
+            raise ValueError(f"edge end {_shorten(out[0])} is outside the {_shorten(self.n)} sites")
         # one rule refuses self-loops and odd cycles too: both need such a site
         both = {e.a for e in self.edges} & {e.b for e in self.edges}
         if both:

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _shorten
+
 FIT_MODELS = {"linear": (0, 1), "quadratic_no_linear_term": (0, 2), "full_quadratic": (0, 1, 2)}
 
 
@@ -19,7 +21,7 @@ def poly_fit(xs, ys, model):
     on the design matrix (an SVD), not by the normal equations, whose
     condition number is the square of the design's."""
     if model not in FIT_MODELS:
-        raise ValueError(f"model must be one of {tuple(FIT_MODELS)}, got {model!r}")
+        raise ValueError(f"model must be one of {tuple(FIT_MODELS)}, got {_shorten(repr(model))}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):

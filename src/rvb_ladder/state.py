@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+WERNER_TOL = 1e-8  # largest distance of an accepted two-site marginal from Werner form
 # largest <S^2> of a total singlet: its two-site marginals are then within
-# sqrt(2 <S^2>) = 4.5e-9 of Werner form, below density.WERNER_TOL = 1e-8
+# sqrt(2 <S^2>) = 4.5e-9 of Werner form, below WERNER_TOL
 SINGLET_TOL = 1e-17
 
 
@@ -98,7 +99,7 @@ def require_singlet(state):
     than 1e-10 from 1, or <S^2> outside [0, SINGLET_TOL]; a NaN fails both
     bounds. The weight outside the singlet space is at most <S^2>/2, which
     SINGLET_TOL keeps small enough for every two-site marginal to be
-    Werner-form within density.WERNER_TOL (docs/decisions.md).
+    Werner-form within WERNER_TOL (docs/decisions.md).
     """
     psi = np.asarray(state)
     site_count(psi)

@@ -35,9 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rvb_ladder import density, measures
+from rvb_ladder import measures
 from rvb_ladder.lattice import Edge, Lattice
-from rvb_ladder.state import INV_SQRT2, site_count, total_spin_squared
+from rvb_ladder.state import INV_SQRT2, WERNER_TOL, site_count, total_spin_squared
 
 # ---------------------------------------------------------------------------
 # literal lattices (hand-derived; site = row*m + col, A iff row+col even,
@@ -548,7 +548,7 @@ def werner_fit(rho):
     F = float(np.real(row @ _SINGLET[:, None])[0, 0])
     p = (4.0 * F - 1.0) / 3.0
     residual = float(np.abs(rho - werner_state(p)).max())
-    return DenseWernerFit(p=p, residual=residual, werner_ok=residual <= density.WERNER_TOL)
+    return DenseWernerFit(p=p, residual=residual, werner_ok=residual <= WERNER_TOL)
 
 
 def rail_and_step_ps(lattice, fits):

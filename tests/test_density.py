@@ -1,6 +1,7 @@
 """Edge Werner parameters against the dense partial trace and 4 x 4 fit, the
 singlet precondition they share with `ggm`, edge averages."""
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -10,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, edge_werner_parameters, ggm,
-                        run_sweep, rvb_state, total_spin_squared)
+import rvb_ladder
+from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, density, edge_werner_parameters,
+                        ggm, run_sweep, rvb_state, total_spin_squared)
 from rvb_ladder.state import require_singlet
 
 import oracles
@@ -182,6 +184,17 @@ def test_edge_marginals_are_werner(ladder_state):
             rho = oracles.partial_trace(psi, [e.a, e.b])
             assert np.max(np.abs(rho - oracles.werner_state(fit.p))) < 1e-8, (m, b, e)
             assert fit.werner_ok
+
+
+def test_a_werner_fit_stores_only_its_p(ladder_state):
+    # werner_ok is a class attribute that `require_singlet` guarantees, kept for
+    # the benchmark's read; WernerFit is reachable as density.WernerFit only
+    assert [f.name for f in dataclasses.fields(density.WernerFit)] == ["p"]
+    for m in range(2, 11):
+        for b in ("open", "periodic"):
+            fits, _ = edge_werner_parameters(*ladder_state(m, b))
+            assert all(f.werner_ok is True for f in fits.values()), (m, b)
+    assert "WernerFit" not in rvb_ladder.__all__ and not hasattr(rvb_ladder, "WernerFit")
 
 
 @pytest.mark.parametrize("m, boundary", oracles.CONFIGS)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rvb_ladder import (Edge, Lattice, RunConfig, build_ladder, edge_werner_parameters,
-                        lattice, run_sweep, rvb_state)
+                        lattice, poly_fit, run_sweep, rvb_state)
 from rvb_ladder.measures import MAX_SITES
 
 import oracles
@@ -108,6 +108,23 @@ def test_lattice_refuses_an_edge_that_does_not_join_a_to_b():
                             (3, ((0, 1), (1, 2)), both.format(1))):
         with pytest.raises(ValueError, match=match):
             Lattice(n, tuple(Edge(a, b, "step") for a, b in edges))
+
+
+def test_refusals_name_a_huge_value_cut_to_twenty_characters():
+    # an edge end, a site count and a fit model of any size: each refusal
+    # names the value through `lattice._shorten`, never in full, and forms no 2^n
+    big, long_model = 10 ** 5000, "x" * 5000
+    one_site = np.array([1.0, 0.0, 0.0, 0.0])
+    cases = ((lambda: Lattice(2, (Edge(0, big, "step"),)), big),
+             (lambda: Lattice(2, (Edge(0, 10 ** 30, "step"),)), 10 ** 30),
+             (lambda: edge_werner_parameters(Lattice(20000, ()), one_site), 20000),
+             (lambda: edge_werner_parameters(Lattice(big, ()), one_site), big),
+             (lambda: poly_fit([1, 2, 3], [1, 2, 3], long_model), repr(long_model)))
+    for call, value in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert len(message) <= 120 and lattice._shorten(value) in message, message
 
 
 def test_enumeration_matches_brute_force_small():
