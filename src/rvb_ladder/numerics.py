@@ -20,7 +20,7 @@ def poly_fit(xs, ys, model):
     """Least squares with the given polynomial model, solved by `np.linalg.lstsq`
     on the design matrix (an SVD), not by the normal equations, whose
     condition number is the square of the design's."""
-    if model not in FIT_MODELS:
+    if not isinstance(model, str) or model not in FIT_MODELS:
         raise ValueError(f"model must be one of {tuple(FIT_MODELS)}, got {_shorten(repr(model))}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

@@ -2,7 +2,7 @@
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
@@ -49,7 +49,8 @@ def _run_size(m, lat):
 
 
 def run_sweep(config):
-    """Per-size pipeline with continue-on-failure isolation, then fits and CSVs."""
+    """Per-size pipeline with continue-on-failure isolation, then fits and CSVs.
+    The report holds the checked config: sorted int sizes, a bool dump_states."""
     if not config.sizes:
         raise ValueError("no sizes configured")
     # the site limit is checked before any ladder is built, so an oversized
@@ -63,7 +64,8 @@ def run_sweep(config):
     if repeated:
         raise ValueError(f"repeated size m={lattice._shorten(repeated[0])}; "
                          "each size runs once")
-    ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in sorted(config.sizes)]
+    config = replace(config, sizes=tuple(sorted(sizes)), dump_states=bool(config.dump_states))
+    ladders = [(m, lattice.build_ladder(m, config.boundary)) for m in config.sizes]
     if config.out_dir is not None:
         _output_dirs(config.out_dir)  # an unusable path fails before any size runs
 
@@ -155,11 +157,11 @@ def emit_csv(report, out_dir):
     """Write the seven figure CSVs plus per-module detail tables.
 
     Figure files land in `out_dir` itself; the edge/aggregate/measure tables
-    and the fit summary go to `out_dir`/detail. Deterministic bytes for a
-    given report (12 significant digits everywhere).
+    and the fit summary go to `out_dir`/detail. Deterministic bytes, 12
+    significant digits, in the order `run_sweep` returns the report.
     """
     out, detail = _output_dirs(out_dir)
-    rows = sorted(report.rows, key=lambda r: r.n)
+    rows = report.rows
     cfg = report.config
 
     _write_csv(out / "fig2_p_rail.csv", ["n", "p_r"],
@@ -213,7 +215,7 @@ def emit_csv(report, out_dir):
     _write_csv(detail / "fits.csv", ["figure", "model", "c0", "c1", "c2", "mse"], fit_rows)
 
     with open(detail / "config.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"sizes={','.join(str(m) for m in sorted(cfg.sizes))}\n"
+        fh.write(f"sizes={','.join(str(m) for m in cfg.sizes)}\n"
                  f"boundary={cfg.boundary}\n"
                  f"dump_states={cfg.dump_states}\n")
 

@@ -2,6 +2,7 @@
 of the test oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ def test_poly_fit_validation():
     with pytest.raises(ValueError):
         # duplicate abscissas make the design singular
         poly_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "full_quadratic")
+
+
+@pytest.mark.parametrize("model", [["linear"], {"linear": 1}])
+def test_poly_fit_refuses_an_unhashable_model_by_name(model):
+    shown = re.escape(repr(model))
+    with pytest.raises(ValueError, match=f"^model must be one of .*, got {shown}$"):
+        poly_fit([1, 2, 3], [1, 2, 3], model)
 
 
 def test_poly_fit_refuses_non_finite_values(capfd):

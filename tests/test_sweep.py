@@ -439,6 +439,48 @@ def test_fig5_is_one_fixed_grid_whose_axis_texts_fit_the_row_template():
     assert not any("%" in text or "\0" in text for text in texts)
 
 
+class Rung:
+    """A ladder length that is an integer only through `__index__`."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __index__(self):
+        return self.m
+
+
+def _file_bytes(out):
+    """{path under `out`: bytes} of every file a run wrote."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
+
+
+def test_the_report_and_every_file_read_the_checked_sizes(tmp_path):
+    # sizes that are integers only through __index__, out of order, and a
+    # truthy int for dump_states run as the sorted ints and True do
+    report = run_sweep(RunConfig(sizes=(Rung(4), Rung(3)), dump_states=1,
+                                 out_dir=tmp_path / "a"))
+    run_sweep(RunConfig(sizes=(3, 4), dump_states=True, out_dir=tmp_path / "b"))
+    assert report.config.sizes == (3, 4)
+    assert report.config.dump_states is True
+    assert [type(m) for m in report.config.sizes] == [int, int]
+    assert [(type(r.m), r.m) for r in report.rows] == [(int, 3), (int, 4)]
+    written = _file_bytes(tmp_path / "a")
+    assert written == _file_bytes(tmp_path / "b")
+    assert written["detail/config.txt"] == b"sizes=3,4\nboundary=periodic\ndump_states=True\n"
+    assert {"state_n6.txt", "state_n8.txt"} <= set(written)
+    mixed = run_sweep(RunConfig(sizes=(np.int64(4), 3)))
+    assert [(type(r.m), r.m) for r in mixed.rows] == [(int, 3), (int, 4)]
+
+
+def test_a_permuted_size_list_writes_the_same_bytes(tmp_path):
+    run_sweep(RunConfig(sizes=(5, 3, 4), out_dir=tmp_path / "a"))
+    run_sweep(RunConfig(sizes=(3, 4, 5), out_dir=tmp_path / "b"))
+    written = _file_bytes(tmp_path / "a")
+    assert len(written) == 14
+    assert written == _file_bytes(tmp_path / "b")
+
+
 # fig5 formats its surface values with bytes %, the other cells with format()
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=True, allow_infinity=True))
