@@ -7,6 +7,10 @@ from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
 
+# fig5's text: the measures.FIG5_RESOLUTION monogamy surface grid, generated
+# once; tests/test_sweep.py pins its bytes and names the call that regenerates it
+_FIG5_CSV = Path(__file__).with_name("fig5_monogamy_surface.csv")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -118,24 +122,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_fig5(path):
-    """The monogamy surface, one write per grid row (one p_r).
-
-    Same bytes as `_write_csv` on rows of floats. Both columns sample the
-    sampler's axis, so its values are formatted once, by `_fmt`, into one
-    bytes row template `b"\\0,<p_s>,%.12g\\n"` per axis value. Each grid
-    row puts its p_r text in place of the NUL marks and formats its
-    surface values with one `%`. Bytes `%` and `format` with
-    `_fmt`'s spec call the same CPython routine (`PyOS_double_to_string`,
-    mode 'g', precision 12), so the text is `_fmt`'s; the axis text holds no
-    `%` or NUL to be misread.
-    """
-    axis, surface = measures.monogamy_surface_sample()
-    axis = [_fmt(v).encode() for v in axis.tolist()]
-    template = b"".join(b"\0," + p_s + b",%.12g\n" for p_s in axis)
+    """Copy the shipped fig5 bytes: the monogamy surface depends on no run."""
     with open(path, "wb") as fh:
-        fh.write(b"p_r,p_s,surface_value\n")
-        for p_r, row in zip(axis, surface.tolist()):
-            fh.write(template.replace(b"\0", p_r) % tuple(row))
+        fh.write(_FIG5_CSV.read_bytes())
 
 
 def _output_dirs(out_dir):

@@ -430,8 +430,36 @@ def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
     assert (tmp_path / "fig5.csv").read_bytes() == want.read_bytes()
 
 
+# the one call that regenerates the shipped fig5 file, run from the repo root
+REGENERATE_FIG5 = (
+    "python -c \"import sys; sys.path[:0] = ['src', 'tests']; import oracles; "
+    "oracles.reference_fig5_csv(*oracles.loop_monogamy_surface_sample("
+    f"{measures.FIG5_RESOLUTION}), 'src/rvb_ladder/fig5_monogamy_surface.csv')\"")
+
+
+def test_the_shipped_fig5_file_is_the_reference_grid(tmp_path):
+    want = tmp_path / "reference.csv"
+    oracles.reference_fig5_csv(
+        *oracles.loop_monogamy_surface_sample(measures.FIG5_RESOLUTION), want)
+    shipped = sweep._FIG5_CSV.read_bytes()
+    assert shipped == want.read_bytes(), f"regenerate it with: {REGENERATE_FIG5}"
+    assert shipped.count(b"\n") == 1 + measures.FIG5_RESOLUTION ** 2
+    assert b"\r" not in shipped
+
+
+def test_no_run_formats_the_fig5_grid(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("a run formatted the fig5 grid")
+
+    monkeypatch.setattr(measures, "monogamy_surface_sample", refuse)
+    run_sweep(RunConfig(sizes=(3,), out_dir=tmp_path / "o"))
+    assert ((tmp_path / "o" / "fig5_monogamy_surface.csv").read_bytes()
+            == sweep._FIG5_CSV.read_bytes())
+
+
 def test_fig5_is_one_fixed_grid_whose_axis_texts_fit_the_row_template():
-    # `_write_fig5` puts each axis text into a bytes `%` template at NUL marks
+    # the grid the shipped fig5 file holds takes no resolution, and its axis
+    # texts are plain numbers
     assert inspect.signature(measures.monogamy_surface_sample).parameters == {}
     axis, _ = measures.monogamy_surface_sample()
     texts = [sweep._fmt(v) for v in axis.tolist()]
@@ -481,7 +509,7 @@ def test_a_permuted_size_list_writes_the_same_bytes(tmp_path):
     assert written == _file_bytes(tmp_path / "b")
 
 
-# fig5 formats its surface values with bytes %, the other cells with format()
+# bytes % and format() spell a float's .12g text alike
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=True, allow_infinity=True))
 @example(-0.0)
