@@ -12,8 +12,7 @@ emit one CSV per published figure.
 from .density import EdgeAggregates, edge_werner_parameters
 from .lattice import Edge, Lattice, build_ladder
 from .measures import (CloningBoundRecord, GgmRecord, MonogamyRecord,
-                       cloning_theta_sets, ggm, monogamy_check,
-                       monogamy_surface_sample, tangle)
+                       cloning_theta_sets, ggm, monogamy_check, tangle)
 from .numerics import PolyFit, poly_fit
 from .state import dump_state, rvb_state, total_spin_squared
 from .sweep import EntanglementReport, RunConfig, SizeRow, run_sweep
@@ -25,7 +24,7 @@ __all__ = [
     "EdgeAggregates", "edge_werner_parameters",
     "PolyFit", "poly_fit",
     "tangle", "MonogamyRecord", "monogamy_check",
-    "monogamy_surface_sample", "CloningBoundRecord", "cloning_theta_sets",
+    "CloningBoundRecord", "cloning_theta_sets",
     "GgmRecord", "ggm",
     "RunConfig", "SizeRow", "EntanglementReport", "run_sweep",
 ]

@@ -7,8 +7,8 @@ from pathlib import Path
 
 from . import density, lattice, measures, numerics, state
 
-# fig5's text: the measures.FIG5_RESOLUTION monogamy surface grid, generated
-# once; tests/test_sweep.py pins its bytes and names the call that regenerates it
+# fig5's text: the 100 x 100 monogamy surface grid, generated once;
+# tests/test_sweep.py pins its bytes and names the call that regenerates it
 _FIG5_CSV = Path(__file__).with_name("fig5_monogamy_surface.csv")
 
 

@@ -665,6 +665,9 @@ def dense_ggm_scan(psi):
     return best, tuple(m for m, v in zip(masks, lam2) if best - v <= 1e-12)
 
 
+FIG5_RESOLUTION = 100  # points per axis of the shipped fig5 monogamy surface grid
+
+
 def loop_monogamy_surface_sample(grid_resolution):
     """(axis, surface) of the monogamy surface: the grid filled by a double
     loop over (p_r, p_s) = (axis[i], axis[j]) in scalar float64 arithmetic."""

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvb_ladder import (RunConfig, cloning_theta_sets, edge_werner_parameters,
-                        ggm, measures, monogamy_check, monogamy_surface_sample,
-                        run_sweep, rvb_state, tangle)
+                        ggm, measures, monogamy_check, run_sweep, rvb_state,
+                        sweep, tangle)
 
 import oracles
 from oracles import tangle_from_density_matrix
@@ -118,28 +118,29 @@ def test_monogamy_flags_the_doubled_rail_of_the_periodic_four_site_ring():
 
 
 def test_monogamy_surface_grid():
-    axis, surface = monogamy_surface_sample()
-    assert axis.shape == (100,)
-    assert surface.shape == (100, 100)
+    # the shipped fig5 file, parsed: its rows run over p_r, then p_s
+    header, *lines = sweep._FIG5_CSV.read_text(encoding="utf-8").splitlines()
+    assert header == "p_r,p_s,surface_value"
+    res = oracles.FIG5_RESOLUTION
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert rows.shape == (res * res, 3)
+    axis = rows[:res, 1]
+    surface = rows[:, 2].reshape(res, res)
+    assert rows[:, 0].tolist() == np.repeat(axis, res).tolist()
+    assert rows[:, 1].tolist() == np.tile(axis, res).tolist()
     assert axis[0] == pytest.approx(-1.0 / 3.0)
     assert axis[-1] == pytest.approx(1.0)
-    # p_r = axis[i] down the rows, p_s = axis[j] across
+    # p_r = axis[i] down the rows, p_s = axis[j] across; the text holds 12
+    # significant digits, so a value near 0 is checked to an absolute 1e-11
     for i, p_r in enumerate(axis):
         for j, p_s in enumerate(axis):
             want = (3 * p_r - 1) ** 2 / 2.0 + (3 * p_s - 1) ** 2 / 4.0 - 1.0
-            assert surface[i, j] == pytest.approx(want)
+            assert surface[i, j] == pytest.approx(want, abs=1e-11)
     # the most negative point is (1/3, 1/3) -> -1; 3p - 1 = -2 or 2 at both
     # ends of the axis, so every corner is 4/2 + 4/4 - 1 = 2
     assert surface.min() >= -1.0 - 1e-12
     for corner in (surface[0, 0], surface[0, -1], surface[-1, 0], surface[-1, -1]):
         assert corner == pytest.approx(2.0)
-
-
-def test_monogamy_surface_bit_identical_to_scalar_loop():
-    got = monogamy_surface_sample()
-    want = oracles.loop_monogamy_surface_sample(measures.FIG5_RESOLUTION)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
 
 
 def test_cloning_sets_shape():

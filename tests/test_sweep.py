@@ -2,14 +2,14 @@
 
 import builtins
 import dataclasses
-import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import rvb_ladder
 from rvb_ladder import (EntanglementReport, RunConfig, build_ladder, edge_werner_parameters,
@@ -426,7 +426,7 @@ def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
     sweep._write_fig5(tmp_path / "fig5.csv")
     want = tmp_path / "reference.csv"
     oracles.reference_fig5_csv(
-        *oracles.loop_monogamy_surface_sample(measures.FIG5_RESOLUTION), want)
+        *oracles.loop_monogamy_surface_sample(oracles.FIG5_RESOLUTION), want)
     assert (tmp_path / "fig5.csv").read_bytes() == want.read_bytes()
 
 
@@ -434,37 +434,28 @@ def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
 REGENERATE_FIG5 = (
     "python -c \"import sys; sys.path[:0] = ['src', 'tests']; import oracles; "
     "oracles.reference_fig5_csv(*oracles.loop_monogamy_surface_sample("
-    f"{measures.FIG5_RESOLUTION}), 'src/rvb_ladder/fig5_monogamy_surface.csv')\"")
+    f"{oracles.FIG5_RESOLUTION}), 'src/rvb_ladder/fig5_monogamy_surface.csv')\"")
 
 
 def test_the_shipped_fig5_file_is_the_reference_grid(tmp_path):
     want = tmp_path / "reference.csv"
     oracles.reference_fig5_csv(
-        *oracles.loop_monogamy_surface_sample(measures.FIG5_RESOLUTION), want)
+        *oracles.loop_monogamy_surface_sample(oracles.FIG5_RESOLUTION), want)
     shipped = sweep._FIG5_CSV.read_bytes()
     assert shipped == want.read_bytes(), f"regenerate it with: {REGENERATE_FIG5}"
-    assert shipped.count(b"\n") == 1 + measures.FIG5_RESOLUTION ** 2
+    assert shipped.count(b"\n") == 1 + oracles.FIG5_RESOLUTION ** 2
     assert b"\r" not in shipped
 
 
-def test_no_run_formats_the_fig5_grid(tmp_path, monkeypatch):
-    def refuse():
-        raise AssertionError("a run formatted the fig5 grid")
-
-    monkeypatch.setattr(measures, "monogamy_surface_sample", refuse)
+def test_no_run_formats_the_fig5_grid(tmp_path):
+    # the shipped file is the package's one fig5 source: no grid sampler is left
+    for module in (rvb_ladder, measures):
+        assert not hasattr(module, "monogamy_surface_sample")
+    assert not hasattr(measures, "FIG5_RESOLUTION")
+    assert "monogamy_surface_sample" not in rvb_ladder.__all__
     run_sweep(RunConfig(sizes=(3,), out_dir=tmp_path / "o"))
     assert ((tmp_path / "o" / "fig5_monogamy_surface.csv").read_bytes()
             == sweep._FIG5_CSV.read_bytes())
-
-
-def test_fig5_is_one_fixed_grid_whose_axis_texts_fit_the_row_template():
-    # the grid the shipped fig5 file holds takes no resolution, and its axis
-    # texts are plain numbers
-    assert inspect.signature(measures.monogamy_surface_sample).parameters == {}
-    axis, _ = measures.monogamy_surface_sample()
-    texts = [sweep._fmt(v) for v in axis.tolist()]
-    assert len(texts) == 100
-    assert not any("%" in text or "\0" in text for text in texts)
 
 
 class Rung:
@@ -507,15 +498,6 @@ def test_a_permuted_size_list_writes_the_same_bytes(tmp_path):
     written = _file_bytes(tmp_path / "a")
     assert len(written) == 14
     assert written == _file_bytes(tmp_path / "b")
-
-
-# bytes % and format() spell a float's .12g text alike
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(st.floats(allow_nan=True, allow_infinity=True))
-@example(-0.0)
-@example(5e-324)
-def test_bytes_percent_g_formats_as_format_g(x):
-    assert b"%.12g" % x == format(x, ".12g").encode()
 
 
 def test_dump_states_flag(tmp_path):
@@ -801,6 +783,26 @@ def test_cli_rejects_bad_sizes(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_the_module_entry_point_exits_with_mains_status(tmp_path):
+    # `python -m rvb_ladder.cli` in a fresh interpreter: the exit status is
+    # main()'s return through `raise SystemExit(main())`
+    package_root = str(Path(rvb_ladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "rvb_ladder.cli", "sweep", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("--sizes", "3", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    assert len(_file_bytes(tmp_path / "ok")) == 14
+    refused = run("--sizes", "11", "--out", str(tmp_path / "refused"))
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("error:")
+    assert not (tmp_path / "refused").exists()
+
+
 def test_cli_sizes_are_ascii_digits(tmp_path, capsys):
     # int() reads "1_0" as 10 (an N = 20 sweep) and a full-width or Arabic-Indic
     # digit as its value; each size in the list is ASCII digits only
@@ -914,7 +916,7 @@ def test_cli_has_no_odd_wrap_option(tmp_path, capsys):
 
 
 def test_cli_has_no_surface_res_option(tmp_path, capsys):
-    # fig5 is always the FIG5_RESOLUTION grid
+    # fig5 is always the shipped 100 x 100 grid
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["sweep", "--surface-res", "5", "--out", str(out)])
