@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import _shorten
-from .state import require_singlet, support_bits
+from .state import require_singlet, site_count, support_bits
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def edge_werner_parameters(lattice, state):
     state.WERNER_TOL of the Werner state at p = -<sigma^z_a sigma^z_b>.
     """
     psi = np.asarray(state)
-    if lattice.n > 62 or psi.size != 1 << lattice.n:  # no array has 2^63 entries
+    if site_count(psi) != lattice.n:
         n = _shorten(lattice.n)
         raise ValueError(f"state has {psi.size} amplitudes, the {n}-site lattice needs 2^{n}")
     require_singlet(psi)

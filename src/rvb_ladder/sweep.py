@@ -1,6 +1,7 @@
 """Full sweeps over ladder sizes, figure CSV emission, and the caption fits."""
 
 import os
+import shutil
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -121,12 +122,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_fig5(path):
-    """Copy the shipped fig5 bytes: the monogamy surface depends on no run."""
-    with open(path, "wb") as fh:
-        fh.write(_FIG5_CSV.read_bytes())
-
-
 def _output_dirs(out_dir):
     """Create `out_dir` and its detail/ subdirectory; return both paths.
     An empty path is refused: `Path("")` is the working directory."""
@@ -159,7 +154,7 @@ def emit_csv(report, out_dir):
                [(r.n, r.aggregates.p_s) for r in rows])
     _write_csv(out / "fig4_p_avg.csv", ["n", "p_avg"],
                [(r.n, r.aggregates.p_avg) for r in rows])
-    _write_fig5(out / "fig5_monogamy_surface.csv")
+    shutil.copyfile(_FIG5_CSV, out / "fig5_monogamy_surface.csv")
     _write_csv(out / "fig6_theta_max.csv", ["n", "theta_max"],
                [(r.n, r.cloning.theta_max) for r in rows])
     _write_csv(out / "fig7_pr_vs_ps.csv", ["n", "p_s", "p_r"],

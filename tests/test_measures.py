@@ -305,6 +305,12 @@ def test_ggm_rejects_non_power_of_two_length():
         ggm(np.full(6, 1.0 / math.sqrt(6.0)))
 
 
+def test_ggm_refuses_more_than_max_sites():
+    # a zero-stride view of 2^21 amplitudes: the refusal allocates nothing
+    with pytest.raises(ValueError, match="limited to 20 sites"):
+        ggm(np.broadcast_to(np.float64(0.0), (1 << 21,)))
+
+
 def test_ggm_matches_svd_oracle_small(ladder_state):
     for key in ((2, "open"), (3, "open"), (3, "periodic")):
         _, psi = ladder_state(*key)

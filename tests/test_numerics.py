@@ -150,6 +150,11 @@ def test_poly_fit_validation():
         poly_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "full_quadratic")
 
 
+def test_poly_fit_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="^3 x values but 2 y values$"):
+        poly_fit([1.0, 2.0, 3.0], [1.0, 2.0], "linear")
+
+
 @pytest.mark.parametrize("model", [["linear"], {"linear": 1}])
 def test_poly_fit_refuses_an_unhashable_model_by_name(model):
     shown = re.escape(repr(model))

@@ -423,11 +423,11 @@ def test_default_sweep_detail_text(tmp_path):
 
 
 def test_fig5_bytes_match_the_row_by_row_reference(tmp_path):
-    sweep._write_fig5(tmp_path / "fig5.csv")
+    run_sweep(RunConfig(sizes=(3,), out_dir=tmp_path / "o"))
     want = tmp_path / "reference.csv"
     oracles.reference_fig5_csv(
         *oracles.loop_monogamy_surface_sample(oracles.FIG5_RESOLUTION), want)
-    assert (tmp_path / "fig5.csv").read_bytes() == want.read_bytes()
+    assert (tmp_path / "o" / "fig5_monogamy_surface.csv").read_bytes() == want.read_bytes()
 
 
 # the one call that regenerates the shipped fig5 file, run from the repo root
@@ -520,7 +520,8 @@ def test_every_written_text_file_pins_its_line_ending(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "open", recording_open, raising=False)
     run_sweep(RunConfig(sizes=(3,), dump_states=True, out_dir=tmp_path / "o"))
     names = {name for name, _, _ in opened}
-    assert {"config.txt", "state_n6.txt", "fig5_monogamy_surface.csv", "edges.csv"} <= names
+    # fig5 is a byte copy of the shipped file (shutil.copyfile), not a text write
+    assert {"config.txt", "state_n6.txt", "edges.csv"} <= names
     for name, mode, newline in opened:
         if set(mode) & set("wax+"):
             assert "b" in mode or newline == "\n", (name, mode, newline)
@@ -801,6 +802,25 @@ def test_the_module_entry_point_exits_with_mains_status(tmp_path):
     assert refused.returncode == 2
     assert refused.stderr.startswith("error:")
     assert not (tmp_path / "refused").exists()
+
+
+def test_the_benchmark_self_test_passes():
+    # one checked pass of each benchmark workload, through the package
+    # functions bench/ calls; it writes only under the ignored bench/out/
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    done = subprocess.run([sys.executable, str(root / "bench" / "selftest.py")], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_cli_refuses_an_empty_size_list(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--sizes", ",", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "size list is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sizes_are_ascii_digits(tmp_path, capsys):
