@@ -116,7 +116,9 @@ def dump_state(state, path, m, boundary):
 
     Each distinct amplitude is formatted once. Distinct means a distinct
     float64 bit pattern, so 0.0 and -0.0 keep their own text. Only the
-    support is read: the lines between two of its entries are runs of "0".
+    support is read: the lines before, between and after its entries are
+    runs of "0", and the gap table (each distinct run length) gets its text
+    once too. The body is one join of run and value texts in turn.
     A complex vector raises ValueError: the format has no room for
     imaginary parts.
     """
@@ -128,10 +130,11 @@ def dump_state(state, path, m, boundary):
     # -0.0 has a nonzero bit pattern, so it is in the support with its own text
     support = np.flatnonzero(bits != 0)
     values, which = np.unique(bits[support], return_inverse=True)
-    text = [f"{float(amp):.17g}\n" for amp in values.view(np.float64)]
-    gaps = np.diff(support, prepend=-1) - 1
-    last = int(support[-1]) if support.size else -1
+    text = np.array([f"{float(amp):.17g}\n" for amp in values.view(np.float64)], dtype=object)
+    gaps, gap_of = np.unique(np.diff(support, prepend=-1, append=bits.size) - 1, return_inverse=True)
+    lines = np.empty(2 * support.size + 1, dtype=object)
+    lines[0::2] = np.array(["0\n" * gap for gap in gaps.tolist()], dtype=object)[gap_of]
+    lines[1::2] = text[which]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"rvb n={n} boundary={boundary} m={m}\n")
-        fh.write("".join(["0\n" * gap + text[i] for gap, i in zip(gaps.tolist(), which.tolist())])
-                 + "0\n" * (bits.size - 1 - last))
+        fh.write("".join(lines.tolist()))

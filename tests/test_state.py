@@ -272,10 +272,12 @@ def test_total_spin_squared_fully_polarised_is_exact(n):
         assert total_spin_squared(psi) == want
 
 
-def test_dump_state_bytes_match_line_writer_n16(tmp_path, ladder_state):
-    lat, psi = ladder_state(8, "periodic")
-    dump_state(psi, tmp_path / "got.txt", 8, "periodic")
-    oracles.reference_dump(psi, tmp_path / "want.txt", 8, "periodic")
+# N = 14..18: open ladders and N = 18 have other gap tables than periodic N = 16
+@pytest.mark.parametrize("m, boundary", [(m, b) for m in (7, 8, 9) for b in ("periodic", "open")])
+def test_dump_state_bytes_match_line_writer(tmp_path, ladder_state, m, boundary):
+    lat, psi = ladder_state(m, boundary)
+    dump_state(psi, tmp_path / "got.txt", m, boundary)
+    oracles.reference_dump(psi, tmp_path / "want.txt", m, boundary)
     assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
